@@ -5,9 +5,10 @@ identities."""
 
 from .decompose import GeneralizedSimplex, cone_decomposition, make_piece
 from .errors import (AmbientTooSmall, CutoffTooSmall, DegenerateFacet,
-                     DimensionMismatch, NegativeCoordinate, NewtonSegreError,
-                     NonPositiveArgument, NonPositiveParameter, ParseError,
-                     PrecisionUnreachable, ZeroGenerator)
+                     DimensionMismatch, EstimateTooLarge, InvalidInput,
+                     NegativeCoordinate, NewtonSegreError, NonPositiveArgument,
+                     NonPositiveParameter, ParseError, PrecisionUnreachable,
+                     ZeroGenerator)
 from .ideals import (MonomialIdeal, make_ideal, monomial_str, parse_ideal,
                      serialize_ideal, stretch)
 from .lattice import (EstimatorConfig, ConvergenceRow, ModeAgreement,
@@ -32,8 +33,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbientTooSmall", "BernoulliTable", "Constraint", "ConvergenceRow",
     "CutoffTooSmall", "DegenerateFacet", "DimensionMismatch",
-    "EstimatorConfig", "Facet", "GeneralizedSimplex", "INFEASIBLE",
-    "LpOutcome", "LpProblem", "ModeAgreement", "MonomialIdeal",
+    "EstimateTooLarge", "EstimatorConfig", "Facet", "GeneralizedSimplex",
+    "INFEASIBLE", "InvalidInput", "LpOutcome", "LpProblem", "ModeAgreement", "MonomialIdeal",
     "NegativeCoordinate", "NewtonPolyhedron", "NewtonSegreError",
     "NonPositiveArgument", "NonPositiveParameter", "OPTIMAL", "ParseError",
     "PrecisionUnreachable", "SegreClassResult", "TruncatedSeries",

@@ -12,12 +12,11 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from .errors import NewtonSegreError
+from .errors import InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
 from .lattice import (EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, EstimatorConfig,
                       convergence_report, estimate)
@@ -26,14 +25,6 @@ from .polygamma import (verify_diagonal_identity, verify_power_identity,
                         verify_two_variable_identity)
 from .polyhedron import newton_polyhedron, polyhedron_to_json
 from .segre import evaluate, segre_class
-
-
-def _default_threads() -> int:
-    env = os.environ.get("NEWTON_SEGRE_THREADS")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +39,10 @@ def _parse_x(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_m_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InvalidInput(f"bad m list {text!r}: expected comma-separated integers") from None
 
 
 def _ideal_from_args(args) -> "MonomialIdeal":  # noqa: F821
@@ -64,7 +58,7 @@ def _cmd_lct(args) -> int:
 
 def _cmd_segre(args) -> int:
     ideal = _ideal_from_args(args)
-    result = segre_class(ideal, ambient_dim=args.ambient, threads=args.threads)
+    result = segre_class(ideal, ambient_dim=args.ambient)
     payload = {
         "pushforward": [str(c) for c in result.pushforward],
         "multivariate": [
@@ -81,14 +75,13 @@ def _cmd_segre(args) -> int:
 def _cmd_estimate(args) -> int:
     ideal = _ideal_from_args(args)
     X = _parse_x(args.X)
-    mode = LCT_BASED if args.mode == "lct" else MEMBERSHIP
+    mode = {"membership": MEMBERSHIP, "lct": LCT_BASED}.get(args.mode, args.mode)
     arith = EXACT if args.arith == "exact" else FLOAT64
     if args.m_list:
         rows = convergence_report(
             ideal, X, _parse_m_list(args.m_list), condition_mode=mode,
             arithmetic=arith,
-            ray_cutoff=(lambda m: args.cutoff) if args.cutoff else None,
-            threads=args.threads)
+            ray_cutoff=(lambda m: args.cutoff) if args.cutoff else None)
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
         writer.writerow(["m", "estimate", "exact", "abs_error", "seconds"])
@@ -98,8 +91,7 @@ def _cmd_estimate(args) -> int:
         sys.stdout.write(out.getvalue())
         return 0
     cfg = EstimatorConfig(m=args.m, X=X, condition_mode=mode,
-                          ray_cutoff=args.cutoff, arithmetic=arith,
-                          threads=args.threads)
+                          ray_cutoff=args.cutoff, arithmetic=arith)
     start = time.perf_counter()
     value = estimate(ideal, cfg)
     elapsed = time.perf_counter() - start
@@ -238,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_ideal(p)
     p.add_argument("--ambient", type=int, required=True,
                    help="dimension of the ambient projective space")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("estimate", help="lattice-sum estimator")
@@ -247,10 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", default=None,
                    help="comma-separated m values; prints a convergence CSV")
     p.add_argument("--X", required=True, help="comma-separated positive rationals")
-    p.add_argument("--mode", choices=["membership", "lct"], default="membership")
+    p.add_argument("--mode", default="membership", help="membership or lct")
     p.add_argument("--cutoff", type=int, default=None,
                    help="truncation along unbounded axes (default 10*m^2)")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--arith", choices=["float", "exact"], default="float")
     p.set_defaults(func=_cmd_estimate)
 

@@ -50,3 +50,12 @@ class PrecisionUnreachable(NewtonSegreError):
 
 class CutoffTooSmall(NewtonSegreError):
     """A truncation cutoff leaves an estimated tail above the requested tolerance."""
+
+
+class InvalidInput(NewtonSegreError, ValueError):
+    """A user-supplied value is out of range or malformed."""
+
+
+class EstimateTooLarge(NewtonSegreError):
+    """An estimate would exceed a fixed work or integer-range budget; the
+    message states the cost."""

@@ -9,13 +9,34 @@ the region rather than over its complement keeps the index set finite
 whenever the region is bounded; the full-orthant sum tends to 1, so the two
 formulations agree in the m -> infinity limit and the finite-m difference is
 folded into the reported bias. Points on the diagram boundary are included
-(the region is a closure).
+(the region is a closure). Along axes where the region is unbounded the sum
+is truncated at a cutoff (default 10*m^2, far below the leading bias).
 
-Along axes where the region is unbounded the sum is truncated at a cutoff
-(default 10*m^2, far below the leading bias). In two variables the rows and
-columns that extend to the cutoff are summed through exact partial-fraction
-identities for sums of inverse cubes (see polygamma.sum_inverse_cubes), so
-the cost stays O(m^2) regardless of the cutoff.
+The float64 path never enumerates points. Each axis i has a box limit L_i
+(its bound, or the cutoff) and a core threshold r_i, the largest a_i any
+facet that sees axis i admits; beyond r_i only facets blind to axis i can
+hold. Subsets S of axes split the box into cells, a_i in (r_i, L_i] for i in
+S and a_j in [1, r_j] otherwise, and inside a cell membership is decided by
+the facets that vanish on every axis of S (a cell with none is empty). The
+region is down-closed, so along one inner axis k of a cell the members of
+each column form an interval [lo, T], with T from the facet inequalities in
+integer arithmetic. The column's kernel sum telescopes into a Hurwitz zeta
+difference (DLMF 25.11),
+
+    sum_{a=lo}^{T} (a + y)^-(n+1) = (-1)^(n+1) (psi_n(lo + y) - psi_n(T + 1 + y)) / n!
+
+with y = (m + sum_{j != k} a_j X_j) / X_k, evaluated by the vectorized
+polygamma kernel. The inner axis is the longest one of the cell (one of S
+when S is not empty), so the cost is the number of columns: O(m^(n-1)) for
+a bounded region, and a factor of the cutoff more for every tail axis
+beyond the first in a cell. The columns of all cells are counted before
+anything is allocated, and more than MAX_COLUMNS of them raise
+EstimateTooLarge with the count. The result is the same truncated sum that
+exact mode enumerates, up to float rounding.
+
+Exact mode and the lct_based mode enumerate the box literally: they are the
+oracles the column sums are tested against. Exact mode refuses up front
+(EstimateTooLarge) when its integer denominators would leave int64.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
@@ -26,18 +47,19 @@ some a_i = 1; mode_agreement_report measures exactly that.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CutoffTooSmall, NonPositiveParameter
+from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
 from .lct import region_condition_via_lct
+from .polygamma import polygamma
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
 
 MEMBERSHIP = "membership_based"
@@ -45,7 +67,12 @@ LCT_BASED = "lct_based"
 EXACT = "exact_rational"
 FLOAT64 = "float64"
 
+# Largest number of lattice columns one float estimate may sum. A cell's
+# columns take about 150 bytes of numpy temporaries each, so this caps the
+# estimator near 600 MiB.
+MAX_COLUMNS = 1 << 22
 _CHUNK = 1 << 20
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass
@@ -56,24 +83,22 @@ class EstimatorConfig:
     ray_cutoff: int | None = None
     arithmetic: str = FLOAT64
     tail_tolerance: float | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("m must be a positive integer")
+            raise InvalidInput(f"m must be a positive integer, got {self.m}")
         self.X = tuple(self.X)
         if any((x <= 0) for x in self.X):
             raise NonPositiveParameter(f"estimator parameters must be positive: {self.X}")
         if self.condition_mode not in (MEMBERSHIP, LCT_BASED):
-            raise ValueError(f"unknown condition mode {self.condition_mode!r}")
+            raise InvalidInput(f"unknown condition mode {self.condition_mode!r}")
         if self.arithmetic not in (EXACT, FLOAT64):
-            raise ValueError(f"unknown arithmetic {self.arithmetic!r}")
+            raise InvalidInput(f"unknown arithmetic {self.arithmetic!r}")
         if self.ray_cutoff is None:
             self.ray_cutoff = 10 * self.m * self.m
         if self.ray_cutoff < self.m:
-            raise ValueError("ray_cutoff must be at least m")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+            raise InvalidInput(
+                f"ray_cutoff {self.ray_cutoff} must be at least m = {self.m}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +159,6 @@ def _axis_bound(W: np.ndarray, C: np.ndarray, axis: int, m: int) -> int | None:
     return max(int(C[f]) * m // int(W[f, axis]) for f in range(W.shape[0]))
 
 
-def _bounded_thresholds(W: np.ndarray, C: np.ndarray, m: int) -> list[int]:
-    """Per axis: largest coordinate reachable through facets that see the axis.
-
-    Beyond this threshold a member point can only satisfy facets whose normal
-    vanishes on the axis, i.e. it lies in a full row/column of the region.
-    """
-    out = []
-    for axis in range(W.shape[1]):
-        vals = [int(C[f]) * m // int(W[f, axis])
-                for f in range(W.shape[0]) if W[f, axis] > 0]
-        out.append(max(vals) if vals else 0)
-    return out
-
-
 def _box_limits(poly: NewtonPolyhedron, m: int, cutoff: int) -> list[int]:
     W, C = _int_facets(poly)
     limits = []
@@ -171,6 +182,28 @@ def _member_mask(W: np.ndarray, C: np.ndarray, m: int,
     return mask
 
 
+def _column_tops(W: np.ndarray, C: np.ndarray, m: int, k: int,
+                 outer: Sequence, lo: int, hi: int) -> np.ndarray:
+    """Per column along axis k: the largest member a_k in [lo, hi], else lo - 1.
+
+    outer[j] (j != k) holds the column's a_j as integers or integer arrays
+    that broadcast together; outer[k] is ignored. The region is down-closed,
+    so a column's members in [lo, hi] are exactly [lo, top].
+    """
+    top = None
+    for f in range(W.shape[0]):
+        slack = int(C[f]) * m
+        for j, a in enumerate(outer):
+            if j != k and W[f, j]:
+                slack = slack - int(W[f, j]) * a
+        if W[f, k]:
+            t = np.floor_divide(slack, int(W[f, k]))
+        else:
+            t = np.where(slack >= 0, hi, lo - 1)
+        top = t if top is None else np.maximum(top, t)
+    return np.clip(top, lo - 1, hi)
+
+
 # ---------------------------------------------------------------------------
 # the estimator
 # ---------------------------------------------------------------------------
@@ -188,9 +221,7 @@ def estimate(ideal: MonomialIdeal, cfg: EstimatorConfig):
         _check_tail(poly, cfg)
     if cfg.arithmetic == EXACT:
         return _estimate_exact(poly, cfg)
-    if poly.n == 2:
-        return _estimate_float_2d(poly, cfg)
-    return _estimate_float_box(poly, cfg)
+    return _estimate_float(poly, cfg)
 
 
 def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
@@ -214,96 +245,50 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
             f"tolerance {cfg.tail_tolerance:.3e}")
 
 
-def _chunks(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Split [lo, hi] into at most `parts` contiguous integer ranges."""
-    width = hi - lo + 1
-    if width <= 0:
-        return []
-    parts = min(parts, width)
-    step = -(-width // parts)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _masked_box_sum(W: np.ndarray, C: np.ndarray, m: int, xs: list[float],
-                    limits: Sequence[int], threads: int) -> float:
-    """Masked kernel sum over the integer box [1, limits_1] x ... (float64)."""
-    n = len(limits)
-    if any(limit < 1 for limit in limits):
-        return 0.0
-    scale = m * math.factorial(n) * math.prod(xs)
-    rest = math.prod(limits[1:]) if n > 1 else 1
-    slab_rows = max(1, _CHUNK // max(rest, 1))
-
-    def slab_sum(bounds: tuple[int, int]) -> float:
-        lo, hi = bounds
-        total = 0.0
-        for start in range(lo, hi + 1, slab_rows):
-            stop = min(start + slab_rows - 1, hi)
-            axes = [np.arange(start, stop + 1, dtype=np.int64)]
-            axes += [np.arange(1, limits[i] + 1, dtype=np.int64) for i in range(1, n)]
-            grids = np.meshgrid(*axes, indexing="ij")
-            mask = _member_mask(W, C, m, grids)
-            den = np.full(grids[0].shape, float(m))
-            for axis, g in enumerate(grids):
-                den += g * xs[axis]
-            total += float(np.sum((scale / den ** (n + 1))[mask]))
-        return total
-
-    slabs = _chunks(1, limits[0], threads)
-    if threads == 1 or len(slabs) <= 1:
-        partials = [slab_sum(s) for s in slabs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(slab_sum, slabs))
-    return math.fsum(partials)
-
-
-def _estimate_float_box(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
-    """Plain masked sum over the truncated bounding box (any n)."""
+def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
+    """The truncated sum as closed-form column sums over the cells (float64)."""
     W, C = _int_facets(poly)
+    m, n = cfg.m, poly.n
     xs = [float(x) for x in cfg.X]
-    limits = _box_limits(poly, cfg.m, cfg.ray_cutoff)
-    return _masked_box_sum(W, C, cfg.m, xs, limits, cfg.threads)
+    limits = _box_limits(poly, m, cfg.ray_cutoff)
+    core = [min(max((int(C[f]) * m // int(W[f, i])
+                     for f in range(W.shape[0]) if W[f, i] > 0), default=0),
+                limits[i])
+            for i in range(n)]
 
+    cells = []
+    columns = 0
+    for tail in itertools.product((False, True), repeat=n):
+        ranges = [(core[i] + 1, limits[i]) if tail[i] else (1, core[i])
+                  for i in range(n)]
+        rows = np.all(W[:, list(tail)] == 0, axis=1)
+        if any(lo > hi for lo, hi in ranges) or not rows.any():
+            continue
+        k = max((i for i in range(n) if tail[i] or not any(tail)),
+                key=lambda i: ranges[i][1] - ranges[i][0])
+        cells.append((rows, ranges, k))
+        columns += math.prod(hi - lo + 1 for j, (lo, hi) in enumerate(ranges) if j != k)
+    if columns > MAX_COLUMNS:
+        raise EstimateTooLarge(
+            f"float estimate needs {columns} lattice columns, above the limit of "
+            f"{MAX_COLUMNS}; lower m or ray_cutoff")
 
-def _estimate_float_2d(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
-    """Bounded box part plus closed-form row/column tails to the cutoff.
-
-    Beyond the per-axis thresholds only facets blind to that axis can hold,
-    so membership there is a full row (or column) and the inner sums are
-    partial sums of inverse cubes with a closed form. The result is exactly
-    the truncated lattice sum, just evaluated without enumerating the tails.
-    """
-    from .polygamma import sum_inverse_cubes
-
-    W, C = _int_facets(poly)
-    m = cfg.m
-    x1, x2 = (float(x) for x in cfg.X)
-    cut = cfg.ray_cutoff
-    r1, r2 = _bounded_thresholds(W, C, m)
-    b1, b2 = min(r1, cut), min(r2, cut)
-    parts = [_masked_box_sum(W, C, m, [x1, x2], [b1, b2], cfg.threads)]
-
-    scale = 2.0 * m * x1 * x2
-
-    # rows that stay members for every a1: facets with w1 = 0 give a2 <= c*m/w2
-    full_rows = [int(C[f]) * m // int(W[f, 1])
-                 for f in range(W.shape[0]) if W[f, 0] == 0]
-    if full_rows and b1 < cut:
-        top = min(max(full_rows), b2)
-        for a2 in range(1, top + 1):
-            y = (m + a2 * x2) / x1
-            parts.append(scale / x1 ** 3 * sum_inverse_cubes(b1 + 1, cut, y))
-
-    full_cols = [int(C[f]) * m // int(W[f, 0])
-                 for f in range(W.shape[0]) if W[f, 1] == 0]
-    if full_cols and b2 < cut:
-        top = min(max(full_cols), b1)
-        for a1 in range(1, top + 1):
-            y = (m + a1 * x1) / x2
-            parts.append(scale / x2 ** 3 * sum_inverse_cubes(b2 + 1, cut, y))
-
-    return math.fsum(parts)
+    parts = []
+    for rows, ranges, k in cells:
+        lo, hi = ranges[k]
+        outer = np.meshgrid(*(np.zeros(1, dtype=np.int64) if j == k else
+                              np.arange(start, stop + 1, dtype=np.int64)
+                              for j, (start, stop) in enumerate(ranges)),
+                            indexing="ij", sparse=True)
+        y = (m + sum(a * x for a, x in zip(outer, xs))) / xs[k]
+        tops = np.broadcast_to(_column_tops(W[rows], C[rows], m, k, outer, lo, hi),
+                               y.shape)
+        keep = tops >= lo
+        y = y[keep]
+        if y.size:
+            diff = polygamma(n, lo + y) - polygamma(n, tops[keep] + 1 + y)
+            parts.append(float(np.sum(diff)) / xs[k] ** (n + 1))
+    return (-1) ** (n + 1) * m * math.prod(xs) * math.fsum(parts)
 
 
 def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
@@ -325,6 +310,11 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     limits = _box_limits(poly, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
+    largest = L * m + sum(x * limit for x, limit in zip(lx, limits))
+    if largest > _INT64_MAX:
+        raise EstimateTooLarge(
+            f"exact estimate needs denominator values up to {largest}, beyond "
+            f"the int64 limit {_INT64_MAX}")
 
     rest = math.prod(limits[1:]) if n > 1 else 1
     slab_rows = max(1, _CHUNK // max(rest, 1))
@@ -392,11 +382,11 @@ def _iter_box(limits: Sequence[int]):
 def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
                        condition_mode: str = MEMBERSHIP,
                        arithmetic: str = FLOAT64,
-                       ray_cutoff: Callable[[int], int] | None = None,
-                       threads: int = 1) -> list[ConvergenceRow]:
+                       ray_cutoff: Callable[[int], int] | None = None
+                       ) -> list[ConvergenceRow]:
     """Estimates along increasing m with the exact value and absolute errors."""
     if list(m_list) != sorted(m_list):
-        raise ValueError("m_list must be increasing")
+        raise InvalidInput("m_list must be increasing")
     from .segre import evaluate, segre_class
 
     result = segre_class(ideal, ambient_dim=max(ideal.n, 1))
@@ -407,7 +397,7 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
         cfg = EstimatorConfig(
             m=m, X=tuple(X), condition_mode=condition_mode,
             ray_cutoff=None if ray_cutoff is None else ray_cutoff(m),
-            arithmetic=arithmetic, threads=threads)
+            arithmetic=arithmetic)
         start = time.perf_counter()
         value = float(estimate(ideal, cfg))
         elapsed = time.perf_counter() - start
@@ -420,21 +410,6 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 # ---------------------------------------------------------------------------
 # membership-mode vs lct-mode agreement
 # ---------------------------------------------------------------------------
-
-def _membership_threshold(W: np.ndarray, C: np.ndarray, m: int,
-                          a2: int, b1: int) -> int:
-    """Largest a1 <= b1 with (a1, a2) a member, from the facet inequalities."""
-    best = 0
-    for f in range(W.shape[0]):
-        w1, w2 = int(W[f, 0]), int(W[f, 1])
-        c = int(C[f]) * m
-        if w1 == 0:
-            if w2 * a2 <= c:
-                return b1
-        else:
-            best = max(best, (c - w2 * a2) // w1)
-    return min(max(best, 0), b1)
-
 
 def _lct_threshold(ideal: MonomialIdeal, m: int, a2: int, b1: int,
                    guess: int, counter: list[int]) -> int:
@@ -508,8 +483,9 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     if poly.n == 2:
         b1, b2 = limits
         guess = b1
-        for a2 in range(1, b2 + 1):
-            t_mem = _membership_threshold(W, C, m, a2, b1)
+        a2s = np.arange(1, b2 + 1, dtype=np.int64)
+        tops = _column_tops(W, C, m, 0, [None, a2s], 1, b1)
+        for a2, t_mem in zip(a2s.tolist(), np.broadcast_to(tops, a2s.shape).tolist()):
             t_lct = _lct_threshold(ideal, m, a2, b1, guess, counter)
             guess = t_lct
             if t_mem != t_lct:

@@ -12,8 +12,8 @@ asymptotic expansion (DLMF 25.11.43)
                + sum_k B_2k / (2k)! * Gamma(r+2k)/Gamma(r+1) * x^(-r-2k) )
 
 truncated at its smallest term, the usual optimal rule for divergent
-asymptotic series. Bernoulli numbers come from the exact recurrence
-sum_j C(n+1, j) B_j = 0.
+asymptotic series. Bernoulli numbers come exactly from the integer tangent
+numbers.
 
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
@@ -53,15 +53,23 @@ class BernoulliTable:
 
 @lru_cache(maxsize=8)
 def bernoulli(K: int) -> BernoulliTable:
-    """Exact table of B_2..B_2K via sum_{j<=n} C(n+1, j) B_j = 0."""
+    """Exact table of B_2..B_2K from the tangent numbers T_k.
+
+    The T_k come from an integer-only recurrence (Brent and Harvey, "Fast
+    computation of Bernoulli, tangent and secant numbers", 2011), and
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    """
     if K < 1:
         raise ValueError("need at least one Bernoulli number")
-    table = [Fraction(1)]  # B_0
-    for n in range(1, 2 * K + 1):
-        acc = sum((Fraction(math.comb(n + 1, j)) * table[j] for j in range(n)),
-                  Fraction(0))
-        table.append(-acc / (n + 1))
-    return BernoulliTable(tuple(table[2 * k] for k in range(1, K + 1)))
+    tangent = [0, 1] + [0] * (K - 1)
+    for k in range(2, K + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    return BernoulliTable(tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
+        for k in range(1, K + 1)))
 
 
 def _asymptotic(r: int, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,6 @@ truncating above the ambient dimension gives the pushforward.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -68,8 +67,7 @@ def piece_value(piece: GeneralizedSimplex, point: Sequence):
     return value
 
 
-def segre_class(ideal: MonomialIdeal, ambient_dim: int,
-                threads: int = 1) -> SegreClassResult:
+def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
     """Segre class inside projective space of the given dimension.
 
     The multivariate series is truncated at total degree ambient_dim, since
@@ -80,20 +78,9 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int,
         raise AmbientTooSmall(
             f"ambient dimension {ambient_dim} cannot contain a scheme in {n} variables")
     pieces = tuple(cone_decomposition(newton_polyhedron(ideal)))
-    degree = ambient_dim
-
-    def expand(piece: GeneralizedSimplex) -> TruncatedSeries:
-        return integrate_piece(piece, n, degree)
-
-    if threads > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            expansions = list(pool.map(expand, pieces))
-    else:
-        expansions = [expand(p) for p in pieces]
-
-    total = TruncatedSeries.zero(n, degree)
-    for s in expansions:
-        total = total + s
+    total = TruncatedSeries.zero(n, ambient_dim)
+    for piece in pieces:
+        total = total + integrate_piece(piece, n, ambient_dim)
     return SegreClassResult(
         ideal=ideal,
         ambient_dim=ambient_dim,

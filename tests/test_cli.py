@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,10 +106,10 @@ def test_explicit_n_flag(capsys):
 def test_deterministic_bytes(capsys):
     _, first, _ = run_cli(
         ["estimate", "x1^2,x2^3", "--m", "40", "--X", "1/3,1/2",
-         "--arith", "exact", "--threads", "1"], capsys)
+         "--arith", "exact"], capsys)
     _, second, _ = run_cli(
         ["estimate", "x1^2,x2^3", "--m", "40", "--X", "1/3,1/2",
-         "--arith", "exact", "--threads", "1"], capsys)
+         "--arith", "exact"], capsys)
     a, b = json.loads(first), json.loads(second)
     del a["seconds"], b["seconds"]
     assert a == b
@@ -128,3 +129,36 @@ def test_console_entry_point():
 def test_estimate_requires_m(capsys):
     with pytest.raises(SystemExit):
         main(["estimate", "x1*x2", "--X", "1,1"])
+
+
+@pytest.mark.parametrize("args", [
+    ["--m", "0"],
+    ["--m-list", "5,a"],
+    ["--m", "10", "--cutoff", "5"],
+    ["--m", "10", "--mode", "nope"],
+])
+def test_estimate_bad_input_is_typed(args, capsys):
+    code, out, err = run_cli(["estimate", "x1*x2", "--X", "1,1", *args], capsys)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "InvalidInput"
+
+
+@pytest.mark.parametrize("args, cost", [
+    # a cell with two tail axes: 10^7 x 1000 columns
+    (["x3", "--n", "3", "--m", "1000", "--X", "1,1,1"], "10000000000 lattice columns"),
+    # the common denominator of X times m leaves int64
+    (["x1,x2", "--m", "100", "--X", "1/303700049,1/303700051", "--arith", "exact"],
+     "beyond the int64 limit"),
+])
+def test_estimate_too_large_is_refused(args, cost, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["estimate", *args], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "EstimateTooLarge"
+    assert cost in payload["message"]

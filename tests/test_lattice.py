@@ -1,12 +1,15 @@
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton_segre import (CutoffTooSmall, EstimatorConfig, NonPositiveParameter,
                           convergence_report, estimate, evaluate, kernel_term,
                           make_ideal, mode_agreement_report, segre_class)
-from newton_segre.lattice import LCT_BASED, _membership_threshold, _int_facets
+from newton_segre.lattice import LCT_BASED, _column_tops, _int_facets
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
 
 
@@ -93,19 +96,6 @@ def test_exact_mode_three_vars_bounded():
     assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
 
 
-def test_threads_reproduce_serial_results():
-    ideal = make_ideal(2, [(2, 0), (0, 3)])
-    X = (F(1, 3), F(1, 2))
-    serial_exact = estimate(ideal, EstimatorConfig(
-        m=120, X=X, arithmetic="exact_rational", threads=1))
-    parallel_exact = estimate(ideal, EstimatorConfig(
-        m=120, X=X, arithmetic="exact_rational", threads=4))
-    assert serial_exact == parallel_exact
-    serial = estimate(ideal, EstimatorConfig(m=400, X=X, threads=1))
-    parallel = estimate(ideal, EstimatorConfig(m=400, X=X, threads=4))
-    assert serial == parallel
-
-
 def test_lct_mode_agrees_with_membership_small():
     ideal = make_ideal(2, [(2, 0), (0, 2)])
     X = (F(1, 2), F(1, 2))
@@ -173,18 +163,23 @@ def test_convergence_report_requires_increasing_m():
         convergence_report(make_ideal(1, [(1,)]), (F(1),), [100, 50])
 
 
-def test_membership_threshold_matches_point_tests():
-    ideal = make_ideal(2, [(3, 0), (1, 2)])
-    poly = newton_polyhedron(ideal)
-    W, C = _int_facets(poly)
-    m, b1 = 17, 120
-    for a2 in range(1, 80):
-        threshold = _membership_threshold(W, C, m, a2, b1)
-        for a1 in (1, 2, threshold - 1, threshold, threshold + 1, b1):
-            if not 1 <= a1 <= b1:
-                continue
-            expected = in_newton_region(poly, (F(a1, m), F(a2, m)))
-            assert (a1 <= threshold) == expected
+def test_column_tops_match_point_tests():
+    m, lo, hi = 7, 2, 40
+    axes = [np.arange(1, 25, dtype=np.int64), np.arange(1, 12, dtype=np.int64)]
+    for n, gens in ((2, [(3, 0), (1, 2)]), (2, [(2, 1), (0, 3)]),
+                    (3, [(2, 0, 0), (0, 3, 0), (1, 1, 1)]),
+                    (3, [(2, 1, 0), (0, 3, 1), (1, 0, 2)])):
+        poly = newton_polyhedron(make_ideal(n, gens))
+        W, C = _int_facets(poly)
+        grids = list(np.meshgrid(*axes[:n - 1], indexing="ij"))
+        tops = np.broadcast_to(_column_tops(W, C, m, n - 1, grids + [None], lo, hi),
+                               grids[0].shape)
+        for index, top in np.ndenumerate(tops):
+            rest = [int(g[index]) for g in grids]
+            for ak in range(lo, hi + 1):
+                expected = in_newton_region(poly, [F(a, m) for a in rest + [ak]])
+                assert (ak <= top) == expected
+            assert lo - 1 <= top <= hi
 
 
 def test_mode_agreement_two_vars():
@@ -219,3 +214,41 @@ def test_config_validation():
         EstimatorConfig(m=10, X=(F(1),), condition_mode="nope")
     with pytest.raises(ValueError):
         EstimatorConfig(m=10, X=(F(1),), ray_cutoff=5)
+
+
+_EXPONENT_VECTORS = {n: st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                     .filter(any).map(tuple) for n in (2, 3)}
+
+
+@st.composite
+def _small_estimates(draw):
+    n = draw(st.sampled_from((2, 3)))
+    gens = draw(st.lists(_EXPONENT_VECTORS[n], min_size=1, max_size=4))
+    m = draw(st.integers(1, 12 if n == 2 else 5))
+    cutoff = draw(st.integers(m, 6 * m if n == 2 else 3 * m))
+    X = tuple(F(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in range(n))
+    return make_ideal(n, gens), m, cutoff, X
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_estimates())
+def test_column_sums_match_exact_mode(case):
+    """On random ideals, m-primary or not, the column sums reproduce the
+    truncated sum that exact mode enumerates."""
+    ideal, m, cutoff, X = case
+    exact = estimate(ideal, EstimatorConfig(
+        m=m, X=X, ray_cutoff=cutoff, arithmetic="exact_rational"))
+    approx = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
+    assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
+
+
+def test_three_unbounded_axes_estimate():
+    """(x1^2 x2, x2^3 x3, x1 x3^2) leaves all three axes unbounded, but no
+    facet is blind to two axes, so only single-axis tails are summed."""
+    ideal = make_ideal(3, [(2, 1, 0), (0, 3, 1), (1, 0, 2)])
+    X = (F(1, 2), F(1, 3), F(1, 5))
+    start = time.perf_counter()
+    value = estimate(ideal, EstimatorConfig(m=60, X=X))
+    assert time.perf_counter() - start < 2.0
+    assert 0 < value <= float(exact_value(ideal, X))
+

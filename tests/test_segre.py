@@ -167,10 +167,3 @@ def test_lowest_degree_equals_height(rng):
         lowest = next(k + 1 for k, c in enumerate(result.pushforward) if c != 0)
         assert lowest == brute_force_height(ideal)
 
-
-def test_threads_do_not_change_result():
-    ideal = make_ideal(3, [(2, 0, 0), (1, 1, 0), (0, 0, 3)])
-    a = segre_class(ideal, ambient_dim=4, threads=1)
-    b = segre_class(ideal, ambient_dim=4, threads=4)
-    assert a.multivariate == b.multivariate
-    assert a.pushforward == b.pushforward
