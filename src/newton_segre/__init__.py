@@ -5,8 +5,8 @@ identities."""
 
 from .decompose import GeneralizedSimplex, cone_decomposition, make_piece
 from .errors import (AmbientTooSmall, CutoffTooSmall, DegenerateFacet,
-                     DimensionMismatch, EstimateTooLarge, InvalidInput,
-                     NegativeCoordinate, NewtonSegreError, NonPositiveArgument,
+                     DimensionMismatch, EstimateTooLarge, InternalInconsistency,
+                     InvalidInput, NegativeCoordinate, NewtonSegreError, NonPositiveArgument,
                      NonPositiveParameter, ParseError, PrecisionUnreachable,
                      ZeroGenerator)
 from .ideals import (MonomialIdeal, make_ideal, monomial_str, parse_ideal,
@@ -34,7 +34,7 @@ __all__ = [
     "AmbientTooSmall", "BernoulliTable", "Constraint", "ConvergenceRow",
     "CutoffTooSmall", "DegenerateFacet", "DimensionMismatch",
     "EstimateTooLarge", "EstimatorConfig", "Facet", "GeneralizedSimplex",
-    "INFEASIBLE", "InvalidInput", "LpOutcome", "LpProblem", "ModeAgreement", "MonomialIdeal",
+    "INFEASIBLE", "InternalInconsistency", "InvalidInput", "LpOutcome", "LpProblem", "ModeAgreement", "MonomialIdeal",
     "NegativeCoordinate", "NewtonPolyhedron", "NewtonSegreError",
     "NonPositiveArgument", "NonPositiveParameter", "OPTIMAL", "ParseError",
     "PrecisionUnreachable", "SegreClassResult", "TruncatedSeries",

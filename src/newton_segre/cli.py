@@ -12,11 +12,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
-from .errors import InvalidInput, NewtonSegreError
+from .errors import EstimateTooLarge, InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
 from .lattice import (EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, EstimatorConfig,
                       convergence_report, estimate)
@@ -43,6 +44,13 @@ def _parse_m_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",")]
     except ValueError:
         raise InvalidInput(f"bad m list {text!r}: expected comma-separated integers") from None
+
+
+def _decimal_digits(k: int) -> int:
+    """Number of decimal digits of abs(k), without converting it to str."""
+    k = abs(k)
+    d = int(k.bit_length() * math.log10(2)) + 1  # exact or one too many
+    return d - (k < 10 ** (d - 1))
 
 
 def _ideal_from_args(args) -> "MonomialIdeal":  # noqa: F821
@@ -104,18 +112,34 @@ def _cmd_estimate(args) -> int:
         "seconds": _fmt(elapsed),
     }
     if arith == EXACT:
-        payload["estimate_rational"] = str(value)
+        try:
+            payload["estimate_rational"] = str(value)
+        except ValueError:  # beyond the interpreter's int-to-str digit limit
+            digits = max(_decimal_digits(value.numerator),
+                         _decimal_digits(value.denominator))
+            raise EstimateTooLarge(
+                f"exact estimate has {digits} decimal digits, above the "
+                f"{sys.get_int_max_str_digits()}-digit limit of int-to-str "
+                "conversion; lower m or --cutoff") from None
     print(json.dumps(payload))
     return 0
 
 
+class _Params(dict):
+    def __missing__(self, key: str):
+        raise InvalidInput(f"this identity needs --params {key}=...")
+
+
 def _identity_params(text: str) -> dict[str, float]:
-    params = {}
+    params = _Params()
     for part in text.split(","):
         key, _, value = part.partition("=")
         if not value:
             raise NewtonSegreError(f"bad --params entry {part!r}, expected key=value")
-        params[key.strip()] = float(Fraction(value.strip()))
+        try:
+            params[key.strip()] = float(Fraction(value.strip()))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"bad --params value {part!r}, expected a rational") from None
     return params
 
 
@@ -170,7 +194,7 @@ def _staircase_svg(poly) -> str:
     lines.append(f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(0)}" y2="{sy(top)}" '
                  'stroke="black"/>')
     for f in poly.diagram_facets:
-        w1, w2, c = f.normal[0], f.normal[1], f.offset
+        w1, w2, c = f.normal[0], f.normal[1], Fraction(f.offset)
         ends = []
         if w1 > 0:
             x_at = c / w1  # where a2 = 0

@@ -101,12 +101,10 @@ def cone_decomposition(poly: NewtonPolyhedron,
         )
         rays = [axis for axis in range(n) if facet.normal[axis] == 0]
 
-        homog: list[tuple[Fraction, ...]] = [
-            tuple(Fraction(e) for e in v) + (_ONE,) for v in vertices
-        ]
+        homog = [v + (1,) for v in vertices]
         for axis in rays:
-            e = [_ZERO] * (n + 1)
-            e[axis] = _ONE
+            e = [0] * (n + 1)
+            e[axis] = 1
             homog.append(tuple(e))
 
         for piece_indices in pull_triangulation(homog):
@@ -114,7 +112,7 @@ def cone_decomposition(poly: NewtonPolyhedron,
             piece_rays = []
             for idx in piece_indices:
                 if idx < len(vertices):
-                    piece_vertices.append(tuple(Fraction(e) for e in vertices[idx]))
+                    piece_vertices.append(vertices[idx])
                 else:
                     piece_rays.append(rays[idx - len(vertices)])
             pieces.append(make_piece(piece_vertices, piece_rays))

@@ -59,3 +59,8 @@ class InvalidInput(NewtonSegreError, ValueError):
 class EstimateTooLarge(NewtonSegreError):
     """An estimate would exceed a fixed work or integer-range budget; the
     message states the cost."""
+
+
+class InternalInconsistency(NewtonSegreError):
+    """Two independent routes to the same exact result disagreed. Indicates a
+    bug; raised instead of asserting so the check survives ``python -O``."""

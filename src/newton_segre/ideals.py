@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, ParseError, ZeroGenerator
+from .errors import DimensionMismatch, InvalidInput, ParseError, ZeroGenerator
 
 ExponentVector = tuple[int, ...]
 StretchFactors = tuple[int, ...]
@@ -52,16 +52,19 @@ def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal
         raise DimensionMismatch(f"need at least one variable, got n={n}")
     gens: set[ExponentVector] = set()
     for raw in raw_generators:
-        vec = tuple(int(e) for e in raw)
+        try:
+            vec = tuple(int(e) for e in raw)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"generator {raw!r} is not a list of integer exponents") from None
         if len(vec) != n:
             raise DimensionMismatch(f"generator {vec} has length {len(vec)}, expected {n}")
         if any(e < 0 for e in vec):
-            raise ValueError(f"negative exponent in generator {vec}")
+            raise InvalidInput(f"negative exponent in generator {vec}")
         if not any(vec):
             raise ZeroGenerator("the zero exponent vector generates the unit ideal")
         gens.add(vec)
     if not gens:
-        raise ValueError("a monomial ideal needs at least one generator")
+        raise InvalidInput("a monomial ideal needs at least one generator")
     minimal = tuple(sorted(
         g for g in gens
         if not any(h != g and _dominates(g, h) for h in gens)
@@ -75,7 +78,7 @@ def stretch(ideal: MonomialIdeal, factors: Sequence[int]) -> MonomialIdeal:
     if len(r) != ideal.n:
         raise DimensionMismatch(f"stretch factors {r} have length {len(r)}, expected {ideal.n}")
     if any(f < 1 for f in r):
-        raise ValueError("stretch factors must be positive integers")
+        raise InvalidInput("stretch factors must be positive integers")
     return make_ideal(ideal.n, [tuple(ri * e for ri, e in zip(r, g)) for g in ideal.generators])
 
 

@@ -146,9 +146,8 @@ def kernel_term(a: Sequence[int], m: int, X: Sequence):
 
 def _int_facets(poly: NewtonPolyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Diagram facets as integer arrays (W, C): member iff some W.a <= C*m."""
-    W = np.array([[int(x) for x in f.normal] for f in poly.diagram_facets],
-                 dtype=np.int64)
-    C = np.array([int(f.offset) for f in poly.diagram_facets], dtype=np.int64)
+    W = np.array([f.normal for f in poly.diagram_facets], dtype=np.int64)
+    C = np.array([f.offset for f in poly.diagram_facets], dtype=np.int64)
     return W, C
 
 
@@ -350,33 +349,16 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
     limits = _box_limits(poly, m, cfg.ray_cutoff)
     points = math.prod(max(limit, 0) for limit in limits)
     if points > 200_000:
-        raise ValueError(
+        raise EstimateTooLarge(
             f"lct_based mode would rebuild {points} stretched ideals; lower m "
             "or ray_cutoff, or use membership_based mode")
     exact = cfg.arithmetic == EXACT
     total = Fraction(0) if exact else 0.0
     xs = [Fraction(x) for x in cfg.X] if exact else [float(x) for x in cfg.X]
-    for a in _iter_box(limits):
+    for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
         if region_condition_via_lct(ideal, a, m):
             total += kernel_term(a, m, xs)
     return total
-
-
-def _iter_box(limits: Sequence[int]):
-    if any(limit < 1 for limit in limits):
-        return
-    idx = [1] * len(limits)
-    while True:
-        yield tuple(idx)
-        axis = len(limits) - 1
-        while axis >= 0:
-            idx[axis] += 1
-            if idx[axis] <= limits[axis]:
-                break
-            idx[axis] = 1
-            axis -= 1
-        if axis < 0:
-            return
 
 
 def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
@@ -411,13 +393,14 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 # membership-mode vs lct-mode agreement
 # ---------------------------------------------------------------------------
 
-def _lct_threshold(ideal: MonomialIdeal, m: int, a2: int, b1: int,
+def _lct_threshold(ideal: MonomialIdeal, m: int, outer: tuple[int, ...], b1: int,
                    guess: int, counter: list[int]) -> int:
-    """Largest a1 <= b1 satisfying the threshold-side membership test.
+    """Largest a1 <= b1 with (a1, *outer) passing the threshold-side test.
 
     The predicate is down-closed in a1 (scaling a point outward along an
     axis can only leave the region), so a bracketed search is sound. Starts
-    from the previous row's threshold, which makes consecutive rows cheap.
+    from the previous column's threshold, which makes consecutive columns
+    cheap.
     """
     def pred(a1: int) -> bool:
         if a1 < 1:
@@ -425,7 +408,7 @@ def _lct_threshold(ideal: MonomialIdeal, m: int, a2: int, b1: int,
         if a1 > b1:
             return False
         counter[0] += 1
-        return region_condition_via_lct(ideal, (a1, a2), m)
+        return region_condition_via_lct(ideal, (a1,) + outer, m)
 
     lo = min(max(guess, 0), b1)
     if pred(lo):
@@ -460,10 +443,12 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
                           rng_seed: int = 0) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
-    For two variables the sets are row-wise intervals [1, T(a_2)], so the
-    comparison reduces to comparing thresholds per row; mismatched points
-    are classified as interior (all a_i > 1) or edge (some a_i = 1).
-    Additionally spot-checks random points through both literal pipelines.
+    Both sets are down-closed, so each column along axis 0 (the other
+    coordinates fixed) meets them in intervals [1, T]. Per column the
+    membership top from the facet inequalities is compared against a
+    bracketed search for the lct top; mismatched points are classified as
+    interior (all a_i > 1) or edge (some a_i = 1). Additionally spot-checks
+    random points through both literal pipelines.
     """
     import random
 
@@ -480,32 +465,22 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     def member(a: tuple[int, ...]) -> bool:
         return in_newton_region(poly, tuple(Fraction(ai, m) for ai in a))
 
-    if poly.n == 2:
-        b1, b2 = limits
-        guess = b1
-        a2s = np.arange(1, b2 + 1, dtype=np.int64)
-        tops = _column_tops(W, C, m, 0, [None, a2s], 1, b1)
-        for a2, t_mem in zip(a2s.tolist(), np.broadcast_to(tops, a2s.shape).tolist()):
-            t_lct = _lct_threshold(ideal, m, a2, b1, guess, counter)
-            guess = t_lct
-            if t_mem != t_lct:
-                lo, hi = sorted((t_mem, t_lct))
-                for a1 in range(lo + 1, hi + 1):
-                    if a1 == 1 or a2 == 1:
-                        edge += 1
-                    else:
-                        interior += 1
-        covered = b1 * b2
-    else:
-        covered = 0
-        for a in _iter_box(limits):
-            covered += 1
-            counter[0] += 1
-            if member(a) != region_condition_via_lct(ideal, a, m):
-                if any(ai == 1 for ai in a):
+    b1 = limits[0]
+    columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
+    outer = [None] + [np.array(c, dtype=np.int64) for c in zip(*columns)]
+    tops = np.broadcast_to(_column_tops(W, C, m, 0, outer, 1, b1), (len(columns),))
+    guess = b1
+    for rest, t_mem in zip(columns, tops.tolist()):
+        t_lct = _lct_threshold(ideal, m, rest, b1, guess, counter)
+        guess = t_lct
+        if t_mem != t_lct:
+            lo, hi = sorted((t_mem, t_lct))
+            for a1 in range(lo + 1, hi + 1):
+                if a1 == 1 or 1 in rest:
                     edge += 1
                 else:
                     interior += 1
+    covered = math.prod(limits)
 
     rng = random.Random(rng_seed)
     checked = 0

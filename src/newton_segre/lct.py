@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import InternalInconsistency, InvalidInput
 from .ideals import MonomialIdeal, stretch
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
 from .simplex import LpProblem, solve_lp
@@ -29,18 +30,19 @@ def diagonal_exit(poly: NewtonPolyhedron) -> Fraction:
     # variables: s, lambda_1..lambda_k
     prob = LpProblem(objective=(Fraction(1),) + (Fraction(0),) * k)
     for coord in range(poly.n):
-        coeffs = [Fraction(-1)] + [Fraction(v[coord]) for v in poly.extreme_points]
-        prob.add(coeffs, "<=", 0)
+        prob.add([-1] + [v[coord] for v in poly.extreme_points], "<=", 0)
     prob.add([0] + [1] * k, "=", 1)
     outcome = solve_lp(prob)
-    assert outcome.is_optimal, "diagonal exit LP cannot be infeasible or unbounded"
+    if not outcome.is_optimal:
+        raise InternalInconsistency(f"diagonal exit LP is {outcome.status}")
     via_lp = outcome.value
 
     via_facets = max(
-        f.offset / sum(f.normal) for f in poly.diagram_facets
+        Fraction(f.offset, sum(f.normal)) for f in poly.diagram_facets
     )
-    assert via_lp == via_facets, (
-        f"diagonal exit mismatch: LP says {via_lp}, facets say {via_facets}")
+    if via_lp != via_facets:
+        raise InternalInconsistency(
+            f"diagonal exit mismatch: LP says {via_lp}, facets say {via_facets}")
     return via_lp
 
 
@@ -59,11 +61,11 @@ def cross_stretch_factors(direction: Sequence[int]) -> tuple[int, ...]:
 def _validated(ideal: MonomialIdeal, direction: Sequence[int], m: int) -> tuple[int, ...]:
     a = tuple(int(x) for x in direction)
     if len(a) != ideal.n:
-        raise ValueError(f"direction {a} has length {len(a)}, expected {ideal.n}")
+        raise InvalidInput(f"direction {a} has length {len(a)}, expected {ideal.n}")
     if any(x < 1 for x in a):
-        raise ValueError("direction entries must be positive integers")
+        raise InvalidInput("direction entries must be positive integers")
     if m < 1:
-        raise ValueError("m must be a positive integer")
+        raise InvalidInput("m must be a positive integer")
     return a
 
 

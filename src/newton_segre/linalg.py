@@ -1,8 +1,9 @@
 """Small exact linear algebra helpers over fractions.Fraction.
 
-Everything here operates on lists of lists of Fractions and is sized for
-desk-scale geometry (matrices a few rows/columns wide), so plain Gaussian
-elimination with exact pivots is the right tool.
+rref, kernel_basis and det take int or Fraction rows and eliminate over
+Fractions, whose pivots are rational; dot keeps its input types, so integer
+vectors give an int. Matrices are desk-scale (a few rows/columns wide), so
+plain Gaussian elimination with exact pivots is the right tool.
 """
 
 from __future__ import annotations
@@ -88,5 +89,5 @@ def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
     return result
 
 
-def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
+    return sum(a * b for a, b in zip(u, v))

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CutoffTooSmall, NonPositiveArgument, PrecisionUnreachable
+from .errors import CutoffTooSmall, InvalidInput, NonPositiveArgument, PrecisionUnreachable
 
 SHIFT_THRESHOLD = 20.0
 _MAX_BERNOULLI = 60
@@ -199,7 +199,7 @@ def sum_inverse_cubes(lo: int, hi: int, y: float) -> float:
 def verify_power_identity(ell: int, X: float, m: int) -> float:
     """(m / X) * psi_1(m*ell + m/X); approaches 1 / (1 + ell*X) as m grows."""
     if ell < 1 or m < 1:
-        raise ValueError("ell and m must be positive integers")
+        raise InvalidInput("ell and m must be positive integers")
     if X <= 0:
         raise NonPositiveArgument("X must be positive")
     X = float(X)
@@ -232,7 +232,7 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     psi_2(y) ~ -y^-2. Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
     if ell < 1 or m < 1:
-        raise ValueError("ell and m must be positive integers")
+        raise InvalidInput("ell and m must be positive integers")
     if X1 <= 0 or X2 <= 0:
         raise NonPositiveArgument("parameters must be positive")
     X1, X2 = float(X1), float(X2)
@@ -265,7 +265,7 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
     l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)).
     """
     if ell1 < 1 or ell2 < 1 or m < 1:
-        raise ValueError("ell1, ell2, m must be positive integers")
+        raise InvalidInput("ell1, ell2, m must be positive integers")
     if X1 <= 0 or X2 <= 0:
         raise NonPositiveArgument("parameters must be positive")
     X1, X2 = float(X1), float(X2)

@@ -9,8 +9,9 @@ complement of P inside the positive orthant -- is represented implicitly:
 a non-negative point belongs to it iff it satisfies <w, p> <= c for some
 diagram facet.
 
-Everything here is exact rational arithmetic; membership and facet decisions
-are sign decisions and must not depend on tolerances.
+Facets are integral: normals and offsets are plain ints, points are exact
+rationals. Membership and facet decisions are sign decisions and must not
+depend on tolerances.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cones import cone_facets
-from .errors import DimensionMismatch, NegativeCoordinate
+from .errors import DimensionMismatch, InternalInconsistency, NegativeCoordinate
 from .ideals import ExponentVector, MonomialIdeal
 from .linalg import dot
 from .simplex import feasible
@@ -31,16 +32,17 @@ RationalPoint = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class Facet:
-    """Inequality <normal, a> >= offset; entries are coprime integers."""
+    """Inequality <normal, a> >= offset; normal and offset are coprime ints
+    (the primitive normal of the homogenized cone's facet)."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    normal: tuple[int, ...]
+    offset: int
 
     @property
     def is_diagram(self) -> bool:
         return self.offset > 0
 
-    def value(self, point: Sequence[Fraction]) -> Fraction:
+    def value(self, point: Sequence[Fraction | int]) -> Fraction | int:
         return dot(self.normal, point)
 
 
@@ -90,12 +92,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
         v for v in gens if _is_extreme(v, [u for u in gens if u != v])
     )
 
-    homog: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(e) for e in v) + (Fraction(1),) for v in extremes
-    ]
+    homog = [v + (1,) for v in extremes]
     for axis in range(n):
-        ray = [Fraction(0)] * (n + 1)
-        ray[axis] = Fraction(1)
+        ray = [0] * (n + 1)
+        ray[axis] = 1
         homog.append(tuple(ray))
 
     facets = []
@@ -108,7 +108,8 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
     poly = NewtonPolyhedron(n, extremes, tuple(facets))
     for v in extremes:  # cheap sanity; a failure means the enumeration is wrong
-        assert all(f.value(v) >= f.offset for f in poly.facets)
+        if not all(f.value(v) >= f.offset for f in poly.facets):
+            raise InternalInconsistency(f"extreme point {v} violates a facet of {ideal}")
     return poly
 
 
@@ -155,19 +156,15 @@ def in_newton_region(ideal: MonomialIdeal | NewtonPolyhedron,
     return any(f.value(p) <= f.offset for f in poly.diagram_facets)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def polyhedron_to_json(poly: NewtonPolyhedron) -> dict:
     """JSON-ready dump: diagram facets are scaled to offset 1 for readability."""
     facets = []
     for f in poly.facets:
         if f.is_diagram:
-            normal = [_fraction_str(x / f.offset) for x in f.normal]
+            normal = [str(Fraction(x, f.offset)) for x in f.normal]
             offset = "1"
         else:
-            normal = [_fraction_str(x) for x in f.normal]
+            normal = [str(x) for x in f.normal]
             offset = "0"
         facets.append({"normal": normal, "offset": offset, "diagram": f.is_diagram})
     return {

@@ -9,7 +9,7 @@ package only factors (1 + v.X) are ever inverted.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -177,10 +177,3 @@ class TruncatedSeries:
             )
             bits.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(bits)
-
-
-def product(factors: Iterable[TruncatedSeries], nvars: int, degree_bound: int) -> TruncatedSeries:
-    out = TruncatedSeries.constant(nvars, degree_bound, 1)
-    for f in factors:
-        out = out * f
-    return out

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InternalInconsistency
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -139,8 +141,8 @@ def solve_lp(problem: LpProblem) -> LpOutcome:
         cost1 = [Fraction(0)] * ncols
         for c in art_of_row.values():
             cost1[c] = Fraction(1)
-        status = run(cost1)
-        assert status == OPTIMAL, "phase 1 is bounded below by zero"
+        if run(cost1) != OPTIMAL:
+            raise InternalInconsistency("phase 1 is bounded below by zero, yet unbounded")
         if any(basis[r] >= first_art and T[r][ncols] != 0 for r in range(m)):
             return LpOutcome(INFEASIBLE)
         # drive zero-valued artificials out of the basis where possible;

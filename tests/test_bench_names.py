@@ -1,0 +1,37 @@
+"""The benchmark's per-layer trace wraps package functions by name.
+
+bench/tracing.py resolves those names with getattr when --trace 1 runs, so
+deleting or renaming one breaks the trace without failing anything else.
+This test reads the name lists (it does not change bench/) and checks that
+every one still resolves.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import newton_segre
+from newton_segre.series import TruncatedSeries
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracing = _load_tracing()
+    names = [(short, fn) for short, fns in tracing.SPANS.items() for fn in fns]
+    names.append(("lattice", "_member_mask"))  # counted by bench/run.py's HOOKS
+    missing = [
+        f"{short}.{fn}" for short, fn in names
+        if not callable(getattr(
+            importlib.import_module(f"{newton_segre.__name__}.{short}"), fn, None))
+    ]
+    missing += [f"TruncatedSeries.{method}" for method in tracing.SERIES_METHODS
+                if method not in TruncatedSeries.__dict__]
+    assert missing == []

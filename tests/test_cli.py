@@ -132,17 +132,31 @@ def test_estimate_requires_m(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["--m", "0"],
-    ["--m-list", "5,a"],
-    ["--m", "10", "--cutoff", "5"],
-    ["--m", "10", "--mode", "nope"],
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "0"], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m-list", "5,a"], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--cutoff", "5"], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--mode", "nope"], "InvalidInput"),
+    (["lct", '{"n":2,"generators":[[-1,2]]}'], "InvalidInput"),
+    (["lct", '{"n":2,"generators":[[1,"a"]]}'], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2", "--m-list", "5"],
+     "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=a", "--m-list", "5"],
+     "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2", "--m-list", "0"],
+     "InvalidInput"),
+    # the exact rational has 10623 digits, beyond the int-to-str limit
+    (["estimate", "x1", "--n", "2", "--m", "20", "--X", "1/2,1/3", "--arith", "exact"],
+     "EstimateTooLarge"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "100", "--mode", "lct"],
+     "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
-    code, out, err = run_cli(["estimate", "x1*x2", "--X", "1,1", *args], capsys)
+    argv, error = args
+    code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""
     (line,) = err.splitlines()
-    assert json.loads(line)["error"] == "InvalidInput"
+    assert json.loads(line)["error"] == error
 
 
 @pytest.mark.parametrize("args, cost", [

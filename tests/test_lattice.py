@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_segre import (CutoffTooSmall, EstimatorConfig, NonPositiveParameter,
-                          convergence_report, estimate, evaluate, kernel_term,
-                          make_ideal, mode_agreement_report, segre_class)
+from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
+                          NonPositiveParameter, convergence_report, estimate,
+                          evaluate, kernel_term, make_ideal,
+                          mode_agreement_report, segre_class)
 from newton_segre.lattice import LCT_BASED, _column_tops, _int_facets
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
 
@@ -108,7 +109,7 @@ def test_lct_mode_agrees_with_membership_small():
 def test_lct_mode_refuses_runaway_enumeration():
     ideal = make_ideal(2, [(1, 1)])
     cfg = EstimatorConfig(m=100, X=(F(1), F(1)), condition_mode=LCT_BASED)
-    with pytest.raises(ValueError, match="stretched ideals"):
+    with pytest.raises(EstimateTooLarge, match="stretched ideals"):
         estimate(ideal, cfg)
 
 
@@ -196,6 +197,8 @@ def test_mode_agreement_other_dims():
     report = mode_agreement_report(make_ideal(3, [(1, 1, 1)]), m=4, scan_cutoff=10)
     assert report.interior_mismatches == 0
     assert report.edge_mismatches == 0
+    # one bracketed threshold search per column, not one lct per point
+    assert report.lct_evaluations < report.points_covered
 
 
 def test_runtime_m_1000_under_five_seconds():

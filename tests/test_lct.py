@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +16,26 @@ def test_diagonal_exit_pure_power():
     for ell in range(1, 7):
         poly = newton_polyhedron(make_ideal(1, [(ell,)]))
         assert diagonal_exit(poly) == ell
+
+
+def test_facet_cross_check_survives_optimize():
+    # the LP-vs-facets check guards the facet enumeration; it must not be an
+    # assert, so it is run here with assertions stripped
+    script = textwrap.dedent("""
+        from newton_segre import (Facet, InternalInconsistency, NewtonPolyhedron,
+                                  diagonal_exit)
+        # (x1^2, x2^3) with its diagram facet 3 a1 + 2 a2 >= 6 moved to 7
+        poly = NewtonPolyhedron(2, ((0, 3), (2, 0)), (
+            Facet((0, 1), 0), Facet((1, 0), 0), Facet((3, 2), 7)))
+        try:
+            diagonal_exit(poly)
+        except InternalInconsistency as exc:
+            print(__debug__, exc)
+    """)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("False diagonal exit mismatch")
 
 
 def test_diagonal_exit_maximal_ideal():
