@@ -5,21 +5,24 @@ exhaustive search over (d-1)-subsets of generators, which is simple and
 robust at the desk scale this package targets (dimension <= 5, at most a
 dozen or so generators). The search runs on the generators' d pivot
 coordinates, a projection that is injective on their span; each facet normal
-is the coprime integer kernel vector of d-1 of them, zero off the pivots. For
-a full-dimensional cone that is the primitive inward normal; for a lower-
-dimensional one, an integer functional cutting out the facet in the span.
+is the integer kernel vector of d-1 of them (from linalg's fraction-free
+elimination) divided by its gcd, zero off the pivots. For a full-dimensional
+cone that is the primitive inward normal; for a lower-dimensional one, an
+integer functional cutting out the facet in the span. All of it is plain
+int arithmetic.
 The triangulation is a "pulling" triangulation: cone from the first
 generator in the supplied order over the triangulated facets that do not
-contain it. That recursion is insensitive to degenerate vertex
-configurations (e.g. four coplanar vertices on a 2-face) and is canonical
-once the generator order is fixed.
+contain it. Each sub-cone is reduced once, inside cone_facets; a sub-cone
+without facets has dimension 0 or 1. That recursion is insensitive to
+degenerate vertex configurations (e.g. four coplanar vertices on a 2-face)
+and is canonical once the generator order is fixed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from typing import Sequence
 
 from .linalg import dot, kernel_basis, rref
@@ -27,17 +30,17 @@ from .linalg import dot, kernel_basis, rref
 Vector = tuple[int, ...]
 
 
-def span_basis(gens: Sequence[Vector]) -> list[tuple[Fraction, ...]]:
+def span_basis(gens: Sequence[Vector]) -> list[tuple[Fraction | int, ...]]:
     """Basis of the linear span of the generators."""
     reduced, pivots = rref([list(g) for g in gens])
     return [tuple(reduced[i]) for i in range(len(pivots))]
 
 
-def canonical_normal(v: Sequence[Fraction]) -> Vector:
-    """Clear denominators of a kernel_basis vector (it has an entry 1, so the
-    result is coprime); the caller fixes the sign."""
-    scale = lcm(*(x.denominator for x in v))
-    return tuple(int(x * scale) for x in v)
+def canonical_normal(v: Sequence[int]) -> Vector:
+    """The coprime integer vector along a nonzero integer kernel_basis vector;
+    the caller fixes the sign."""
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def cone_facets(gens: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
@@ -89,14 +92,12 @@ def pull_triangulation(gens: Sequence[Vector]) -> list[list[int]]:
     """
     def recurse(indices: list[int]) -> list[list[int]]:
         sub = [gens[i] for i in indices]
-        d = len(span_basis(sub))
-        if d == 0:
-            return []
-        if d == 1:
-            return [[indices[0]]]
+        facets = cone_facets(sub)
+        if not facets:  # dimension 0 or 1
+            return [[indices[0]]] if any(any(g) for g in sub) else []
         pivot = indices[0]
         pieces: list[list[int]] = []
-        for _normal, incidence in cone_facets(sub):
+        for _normal, incidence in facets:
             if 0 in incidence:  # facet contains the pivot generator
                 continue
             face = [indices[j] for j in range(len(indices)) if j in incidence]

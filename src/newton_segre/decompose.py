@@ -37,12 +37,13 @@ class GeneralizedSimplex:
     """conv(finite_vertices) + cone(e_k : k in ray_axes), with p + q = n.
 
     finite_vertices lists v_0..v_p; jacobian is |det| of the columns
-    (v_1 - v_0, ..., v_p - v_0, e_k1, ..., e_kq) and is always positive.
+    (v_1 - v_0, ..., v_p - v_0, e_k1, ..., e_kq) and is always positive (an
+    int when the vertices are integral).
     """
 
     finite_vertices: tuple[RationalPoint, ...]
     ray_axes: frozenset[int]
-    jacobian: Fraction
+    jacobian: Fraction | int
 
     @property
     def n(self) -> int:

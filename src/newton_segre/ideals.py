@@ -156,11 +156,17 @@ def parse_ideal(source: str | dict, n: int | None = None) -> MonomialIdeal:
 def _ideal_from_json(payload: dict, n: int | None) -> MonomialIdeal:
     if "generators" not in payload:
         raise ParseError("JSON ideal needs a 'generators' key", 0)
-    width = int(payload.get("n", n if n is not None else 0))
+    width = payload.get("n", n if n is not None else 0)
+    if isinstance(width, bool) or not isinstance(width, int):
+        raise InvalidInput(f"JSON 'n' must be an integer, got {width!r}")
     gens = payload["generators"]
+    if not isinstance(gens, list):
+        raise InvalidInput(f"JSON 'generators' must be a list, got {gens!r}")
     if width <= 0:
         if not gens or not gens[0]:
             raise ParseError("cannot infer n from empty generators", 0)
+        if not isinstance(gens[0], list):
+            raise InvalidInput(f"generator {gens[0]!r} is not a list of integer exponents")
         width = len(gens[0])
     if n is not None and width != n:
         raise DimensionMismatch(f"JSON says n={width} but n={n} was requested")

@@ -54,7 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import numpy as np
+# numpy is imported inside the functions that use it, so the exact-geometry
+# commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
 from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
@@ -72,7 +73,7 @@ FLOAT64 = "float64"
 # estimator near 600 MiB.
 MAX_COLUMNS = 1 << 22
 _CHUNK = 1 << 20
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -124,9 +125,9 @@ def kernel_term(a: Sequence[int], m: int, X: Sequence):
     """One summand of the estimator; exact when X is rational, float otherwise."""
     n = len(a)
     if len(X) != n:
-        raise ValueError("a and X must have the same length")
+        raise InvalidInput("a and X must have the same length")
     if m < 1 or any(ai < 1 for ai in a):
-        raise ValueError("kernel is defined for m >= 1 and a_i >= 1")
+        raise InvalidInput("kernel is defined for m >= 1 and a_i >= 1")
     if any(x <= 0 for x in X):
         raise NonPositiveParameter(f"kernel parameters must be positive: {tuple(X)}")
     exact = all(isinstance(x, (Fraction, int)) for x in X)
@@ -146,6 +147,7 @@ def kernel_term(a: Sequence[int], m: int, X: Sequence):
 
 def _int_facets(poly: NewtonPolyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Diagram facets as integer arrays (W, C): member iff some W.a <= C*m."""
+    import numpy as np
     W = np.array([f.normal for f in poly.diagram_facets], dtype=np.int64)
     C = np.array([f.offset for f in poly.diagram_facets], dtype=np.int64)
     return W, C
@@ -153,6 +155,7 @@ def _int_facets(poly: NewtonPolyhedron) -> tuple[np.ndarray, np.ndarray]:
 
 def _axis_bound(W: np.ndarray, C: np.ndarray, axis: int, m: int) -> int | None:
     """Largest a_axis of any member point, or None when the axis is unbounded."""
+    import numpy as np
     if np.any(W[:, axis] == 0):
         return None
     return max(int(C[f]) * m // int(W[f, axis]) for f in range(W.shape[0]))
@@ -170,6 +173,7 @@ def _box_limits(poly: NewtonPolyhedron, m: int, cutoff: int) -> list[int]:
 def _member_mask(W: np.ndarray, C: np.ndarray, m: int,
                  grids: Sequence[np.ndarray]) -> np.ndarray:
     """Boolean mask of region membership on a meshgrid of lattice points."""
+    import numpy as np
     mask = None
     for f in range(W.shape[0]):
         value = np.zeros_like(grids[0], dtype=np.int64)
@@ -189,6 +193,7 @@ def _column_tops(W: np.ndarray, C: np.ndarray, m: int, k: int,
     that broadcast together; outer[k] is ignored. The region is down-closed,
     so a column's members in [lo, hi] are exactly [lo, top].
     """
+    import numpy as np
     top = None
     for f in range(W.shape[0]):
         slack = int(C[f]) * m
@@ -246,6 +251,7 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
 
 def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
     """The truncated sum as closed-form column sums over the cells (float64)."""
+    import numpy as np
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [float(x) for x in cfg.X]
@@ -297,8 +303,9 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     L*m + a.(L*X) with L the common denominator of X, so the exact sum runs
     over distinct denominator values instead of over lattice points.
     """
+    import numpy as np
     if not all(isinstance(x, (Fraction, int)) for x in cfg.X):
-        raise ValueError("exact_rational arithmetic needs rational X")
+        raise InvalidInput("exact_rational arithmetic needs rational X")
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [Fraction(x) for x in cfg.X]
@@ -450,6 +457,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     interior (all a_i > 1) or edge (some a_i = 1). Additionally spot-checks
     random points through both literal pipelines.
     """
+    import numpy as np
     import random
 
     poly = newton_polyhedron(ideal)

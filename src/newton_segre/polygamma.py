@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
+# numpy is imported inside the functions that use it, so the exact-geometry
+# commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
 from .errors import CutoffTooSmall, InvalidInput, NonPositiveArgument, PrecisionUnreachable
 
@@ -79,6 +80,7 @@ def _asymptotic(r: int, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarr
     shrinking. Returns (value, floor): floor is the size of the last term
     taken, the intrinsic accuracy limit of the divergent expansion.
     """
+    import numpy as np
     sign = (-1.0) ** (r + 1)
     rfact = float(math.factorial(r))
     value = sign * rfact / r * x ** (-r)
@@ -123,6 +125,7 @@ def polygamma(r: int, x, eps: float = 1e-12):
     eps undercuts the floor of the asymptotic expansion at the shift
     threshold (for float64 targets this effectively never happens).
     """
+    import numpy as np
     if r < 1:
         raise ValueError("polygamma order must be >= 1")
     arr = np.asarray(x, dtype=np.float64)
@@ -157,6 +160,7 @@ def polygamma(r: int, x, eps: float = 1e-12):
 
 def polygamma_extended(r: int, x: float, eps: float = 1e-16) -> float:
     """Guard path: the same scheme evaluated in numpy extended precision."""
+    import numpy as np
     if x <= 0:
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
     ld = np.longdouble
@@ -231,6 +235,7 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     with the sum truncated at tail_cutoff and the remainder estimated from
     psi_2(y) ~ -y^-2. Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
+    import numpy as np
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
     if X1 <= 0 or X2 <= 0:
@@ -264,6 +269,7 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
     sum is truncated and tail-estimated. Approaches
     l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)).
     """
+    import numpy as np
     if ell1 < 1 or ell2 < 1 or m < 1:
         raise InvalidInput("ell1, ell2, m must be positive integers")
     if X1 <= 0 or X2 <= 0:

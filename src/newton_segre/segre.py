@@ -13,6 +13,12 @@ dl / (sum theta_i c_i)^(p+1) = 1 / (c_0 ... c_p). The formula is gated by a
 numerical quadrature oracle in the test suite before anything downstream is
 trusted.
 
+Every factor of that product has integer coefficients (the vertices are
+generators, the jacobian an integer determinant), so the expansions run on
+int-coefficient series. Each vertex is shared by many pieces; its factor
+1 / (1 + v . X) is expanded once per (nvars, degree bound, vertex) and
+reused.
+
 Summing the expansions over a cone decomposition of the region gives the
 multivariate class; substituting every X_i by the hyperplane class H and
 truncating above the ambient dimension gives the pushforward.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
@@ -36,11 +43,18 @@ class SegreClassResult:
     ideal: MonomialIdeal
     ambient_dim: int
     multivariate: TruncatedSeries
-    pushforward: tuple[Fraction, ...]
+    pushforward: tuple[Fraction | int, ...]
     pieces: tuple[GeneralizedSimplex, ...]
 
     def pushforward_strings(self) -> list[str]:
         return [str(c) for c in self.pushforward]
+
+
+@lru_cache(maxsize=1024)
+def _vertex_factor(nvars: int, degree_bound: int,
+                   vertex: tuple[Fraction | int, ...]) -> TruncatedSeries:
+    """1 / (1 + vertex . X) as a truncated series; callers must not mutate it."""
+    return TruncatedSeries.one_plus_linear(nvars, degree_bound, vertex).inverse()
 
 
 def integrate_piece(piece: GeneralizedSimplex, nvars: int,
@@ -50,8 +64,7 @@ def integrate_piece(piece: GeneralizedSimplex, nvars: int,
     series = TruncatedSeries.monomial(nvars, degree_bound, exponent, piece.jacobian)
     for vertex in piece.finite_vertices:
         if any(vertex):
-            series = series * TruncatedSeries.one_plus_linear(
-                nvars, degree_bound, vertex).inverse()
+            series = series * _vertex_factor(nvars, degree_bound, vertex)
     return series
 
 

@@ -1,10 +1,19 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
+import newton_segre
 from newton_segre import MonomialIdeal, make_ideal
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so they cannot make the suite flaky on a slow or loaded machine.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_ideal(rng: random.Random, n: int | None = None,
@@ -35,3 +44,12 @@ def gauss_legendre_01(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     return (x + 1.0) / 2.0, w / 2.0
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with the imported package's directory first on
+    PYTHONPATH, so a child interpreter imports the same package."""
+    env = dict(os.environ)
+    src = str(Path(newton_segre.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from newton_segre.cli import main
+from tests.conftest import subprocess_env
 
 
 def run_cli(args, capsys):
@@ -121,7 +122,7 @@ def test_deterministic_bytes(capsys):
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "newton_segre.cli", "lct", "x1*x2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"lct": "1", "sigma": "1"}
 
@@ -149,6 +150,8 @@ def test_estimate_requires_m(capsys):
      "EstimateTooLarge"),
     (["estimate", "x1*x2", "--X", "1,1", "--m", "100", "--mode", "lct"],
      "EstimateTooLarge"),
+    (["lct", '{"n":"x","generators":[[1,2]]}'], "InvalidInput"),
+    (["lct", '{"n":2,"generators":5}'], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args

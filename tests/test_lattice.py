@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
-                          NonPositiveParameter, convergence_report, estimate,
+                          InvalidInput, NonPositiveParameter, convergence_report, estimate,
                           evaluate, kernel_term, make_ideal,
                           mode_agreement_report, segre_class)
 from newton_segre.lattice import LCT_BASED, _column_tops, _int_facets
@@ -36,6 +36,22 @@ def test_kernel_term_validation():
         kernel_term((0,), 1, (F(1),))
     with pytest.raises(NonPositiveParameter):
         kernel_term((1,), 1, (F(0),))
+
+
+def test_kernel_term_length_mismatch_is_typed():
+    with pytest.raises(InvalidInput, match="same length"):
+        kernel_term((1, 1), 1, (F(1),))
+
+
+def test_kernel_term_domain_is_typed():
+    with pytest.raises(InvalidInput, match="m >= 1 and a_i >= 1"):
+        kernel_term((1,), 0, (F(1),))
+
+
+def test_exact_mode_needs_rational_X():
+    ideal = make_ideal(2, [(1, 0), (0, 1)])
+    with pytest.raises(InvalidInput, match="needs rational X"):
+        estimate(ideal, EstimatorConfig(m=5, X=(0.5, 0.25), arithmetic="exact_rational"))
 
 
 def test_estimate_line_segment():

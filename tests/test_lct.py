@@ -9,7 +9,7 @@ import pytest
 from newton_segre import (diagonal_exit, in_newton_region, lct, lct_condition,
                           make_ideal, newton_polyhedron,
                           region_condition_via_lct, stretch)
-from tests.conftest import random_ideal
+from tests.conftest import random_ideal, subprocess_env
 
 
 def test_diagonal_exit_pure_power():
@@ -33,7 +33,8 @@ def test_facet_cross_check_survives_optimize():
             print(__debug__, exc)
     """)
     proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("False diagonal exit mismatch")
 

@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from newton_segre import (AmbientTooSmall, NonPositiveParameter,
-                          TruncatedSeries, evaluate, integrate_piece,
-                          make_ideal, make_piece, segre_class)
+                          TruncatedSeries, cone_decomposition, evaluate,
+                          integrate_piece, make_ideal, make_piece,
+                          newton_polyhedron, segre_class)
 from tests.conftest import random_ideal
 
 
@@ -167,3 +168,21 @@ def test_lowest_degree_equals_height(rng):
         lowest = next(k + 1 for k, c in enumerate(result.pushforward) if c != 0)
         assert lowest == brute_force_height(ideal)
 
+
+
+def test_random_n5_ideal_pinned():
+    """A random n=5 ideal with 6 generators (the benchmark calibration's
+    N5_RANDOM): pinned pushforward and piece count, and the same series from
+    the decomposition with the reversed vertex order."""
+    ideal = make_ideal(5, [(0, 2, 2, 3, 3), (0, 2, 4, 4, 1), (1, 0, 4, 2, 0),
+                           (2, 1, 1, 1, 4), (2, 2, 0, 4, 4), (4, 1, 1, 1, 1)])
+    result = segre_class(ideal, ambient_dim=5)
+    assert result.pushforward_strings() == ["1", "29", "-379", "3005", "-13783"]
+    assert len(result.pieces) == 34
+
+    poly = newton_polyhedron(ideal)
+    order = sorted(poly.extreme_points, reverse=True)
+    reordered = TruncatedSeries.zero(5, 5)
+    for piece in cone_decomposition(poly, vertex_order=order):
+        reordered = reordered + integrate_piece(piece, 5, 5)
+    assert reordered == result.multivariate
