@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cones import pull_triangulation
-from .errors import DegenerateFacet
+from .errors import DegenerateFacet, InvalidInput
 from .linalg import det
 from .polyhedron import NewtonPolyhedron, RationalPoint
 
@@ -69,7 +69,7 @@ def make_piece(finite_vertices: Sequence[Sequence[Fraction | int]],
     rays = frozenset(int(k) for k in ray_axes)
     n = len(vertices[0])
     if len(vertices) - 1 + len(rays) != n:
-        raise ValueError("piece needs p+1 vertices and q rays with p+q = n")
+        raise InvalidInput("piece needs p+1 vertices and q rays with p+q = n")
     piece = GeneralizedSimplex(vertices, rays, _ZERO)
     jac = abs(det(piece.coordinate_matrix()))
     if jac == 0:
@@ -137,7 +137,7 @@ def piece_membership(piece: GeneralizedSimplex,
     augmented = [row + [rhs[i]] for i, row in enumerate(m)]
     reduced, pivots = rref(augmented)
     if len(pivots) != n or n in pivots:
-        raise ValueError("coordinate matrix must be invertible")
+        raise InvalidInput("coordinate matrix must be invertible")
     coords = [reduced[i][n] for i in range(n)]
     p = len(piece.finite_vertices) - 1
     lambdas = coords[:p]

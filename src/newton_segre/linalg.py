@@ -17,6 +17,8 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
+from .errors import InvalidInput
+
 Row = list[Fraction | int]
 Matrix = list[Row]
 
@@ -112,7 +114,7 @@ def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
     """Exact determinant: an int when every entry is integral, else a Fraction."""
     n = len(rows)
     if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
+        raise InvalidInput("determinant needs a square matrix")
     m, scale = _integer_rows(rows)
     _m, pivots, d, sign = _eliminate(m)
     if len(pivots) < n:

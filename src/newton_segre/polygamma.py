@@ -8,12 +8,19 @@ standard two-step scheme: shift the argument up by the exact recurrence
 until it clears a fixed threshold, then evaluate the large-argument
 asymptotic expansion (DLMF 25.11.43)
 
-    psi_r(x) ~ (-1)^(r+1) r! ( x^-r / r + x^-(r+1) / 2
-               + sum_k B_2k / (2k)! * Gamma(r+2k)/Gamma(r+1) * x^(-r-2k) )
+    psi_r(x) ~ (-1)^(r+1) ( (r-1)! x^-r + r!/2 x^-(r+1)
+               + sum_k B_2k (r+2k-1)! / (2k)! * x^(-r-2k) )
 
-truncated at its smallest term, the usual optimal rule for divergent
-asymptotic series. Bernoulli numbers come exactly from the integer tangent
-numbers.
+with a fixed number of terms per order: term k = K(r) is the first whose
+size at x = SHIFT_THRESHOLD is below 2^-60 of the leading term, and it and
+all later terms are dropped (K = 7..11 for r = 1..8). Because K depends on
+r only, every element of an array argument is computed exactly as a scalar
+call would compute it. The sum over k is a Horner polynomial in x^-2, and
+the leading term is added last. The accuracy floor at an element is the
+size of its first omitted term; eps below it raises PrecisionUnreachable,
+as does every order above 38, where no term within _MAX_BERNOULLI is small
+enough.
+Bernoulli numbers come exactly from the integer tangent numbers.
 
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
@@ -61,7 +68,7 @@ def bernoulli(K: int) -> BernoulliTable:
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
     """
     if K < 1:
-        raise ValueError("need at least one Bernoulli number")
+        raise InvalidInput("need at least one Bernoulli number")
     tangent = [0, 1] + [0] * (K - 1)
     for k in range(2, K + 1):
         tangent[k] = (k - 1) * tangent[k - 1]
@@ -73,61 +80,39 @@ def bernoulli(K: int) -> BernoulliTable:
         for k in range(1, K + 1)))
 
 
-def _asymptotic(r: int, x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated-at-smallest-term asymptotic value for x >= SHIFT_THRESHOLD.
+@lru_cache(maxsize=None)
+def _horner_coefficients(r: int) -> tuple[tuple[float, ...], int, float]:
+    """(c_{K-1}, ..., c_1), K and |c_K| for order r.
 
-    Works elementwise; each element stops accumulating once its terms stop
-    shrinking. Returns (value, floor): floor is the size of the last term
-    taken, the intrinsic accuracy limit of the divergent expansion.
+    c_k = B_2k (r+2k-1)!/(2k)! multiplies x^(-r-2k) in the expansion; K is
+    the first k whose term at SHIFT_THRESHOLD is below 2^-60 of the leading
+    term (r-1)!/x^r, so term K is the first one omitted.
     """
-    import numpy as np
-    sign = (-1.0) ** (r + 1)
-    rfact = float(math.factorial(r))
-    value = sign * rfact / r * x ** (-r)
-    comp = np.zeros_like(x)  # Kahan carry
-
-    def accumulate(term: np.ndarray, mask: np.ndarray) -> None:
-        nonlocal value, comp
-        y = np.where(mask, term, 0.0) - comp
-        t = value + y
-        comp = (t - value) - y
-        value = t
-
-    head = sign * rfact / 2.0 * x ** (-r - 1)
-    accumulate(head, np.ones_like(x, dtype=bool))
-    table = bernoulli(_MAX_BERNOULLI)
-    prev = np.abs(head)
-    active = np.ones_like(x, dtype=bool)
-    floor = prev.copy()
-    for k in range(1, _MAX_BERNOULLI + 1):
-        # r! * B_2k / (2k)! * Gamma(r+2k)/Gamma(r+1) = B_2k * (r+2k-1)! / (2k)!
-        coeff = float(table.b2k(k) * Fraction(math.factorial(r + 2 * k - 1),
-                                              math.factorial(2 * k)))
-        term = sign * coeff * x ** (-r - 2 * k)
-        mag = np.abs(term)
-        # an element is done once its terms no longer move the float64 sum
-        converged = active & (mag < np.spacing(np.abs(value)))
-        floor = np.where(converged, mag, floor)
-        shrinking = active & ~converged & (mag < prev)
-        accumulate(term, shrinking)
-        floor = np.where(shrinking, mag, floor)
-        active = shrinking
-        prev = np.where(shrinking, mag, prev)
-        if not np.any(active):
-            break
-    return value, floor
+    # |c_k| x^-2k < 2^-60 (r-1)! at x = SHIFT_THRESHOLD, in integers
+    x2 = int(SHIFT_THRESHOLD) ** 2
+    for size in (16, _MAX_BERNOULLI):
+        coeffs = []
+        for k, b in enumerate(bernoulli(size).even_values, start=1):
+            num = b.numerator * math.factorial(r + 2 * k - 1)
+            den = b.denominator * math.factorial(2 * k)
+            if abs(num) << 60 < math.factorial(r - 1) * x2 ** k * den:
+                return tuple(reversed(coeffs)), k, abs(num) / den
+            coeffs.append(num / den)
+    raise PrecisionUnreachable(
+        f"the order-{r} expansion at x = {SHIFT_THRESHOLD} does not reach 2^-60 "
+        f"relative accuracy within {_MAX_BERNOULLI} terms")
 
 
 def polygamma(r: int, x, eps: float = 1e-12):
     """psi_r at positive real x (scalar or array) to absolute accuracy eps.
 
     Raises NonPositiveArgument off the domain and PrecisionUnreachable when
-    eps undercuts the floor of the asymptotic expansion at the shift
-    threshold (for float64 targets this effectively never happens).
+    eps undercuts the first omitted term of the expansion at some element
+    (for float64 targets this effectively never happens).
     """
     import numpy as np
     if r < 1:
-        raise ValueError("polygamma order must be >= 1")
+        raise InvalidInput("polygamma order must be >= 1")
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr).astype(np.float64)
@@ -150,11 +135,20 @@ def polygamma(r: int, x, eps: float = 1e-12):
         correction[low] = t
         shifted[low] += 1.0
 
-    value, floor = _asymptotic(r, shifted, eps)
-    if np.any(floor > eps):
+    coeffs, K, omitted = _horner_coefficients(r)
+    # the omitted term shrinks as x grows, so the smallest x has the top floor
+    floor = omitted * float(np.min(shifted, initial=np.inf)) ** (-r - 2 * K)
+    if floor > eps:
         raise PrecisionUnreachable(
-            f"asymptotic floor {float(np.max(floor)):.3e} above requested eps {eps:.3e}")
-    result = value + correction
+            f"asymptotic floor {floor:.3e} above requested eps {eps:.3e}")
+    inv = 1.0 / shifted
+    inv2 = inv * inv
+    horner = 0.0
+    for c in coeffs:
+        horner = horner * inv2 + c
+    power = shifted ** -r
+    rest = rsign * (power * inv) * (rfact / 2.0 + inv * horner)
+    result = (rest + rsign * float(math.factorial(r - 1)) * power) + correction
     return float(result[0]) if scalar else result
 
 

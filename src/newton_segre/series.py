@@ -17,6 +17,8 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
+from .errors import InvalidInput
+
 Exponent = tuple[int, ...]
 Coefficient = Fraction | int
 
@@ -35,15 +37,15 @@ class TruncatedSeries:
     def __init__(self, nvars: int, degree_bound: int,
                  coeffs: Mapping[Exponent, Coefficient] | None = None):
         if nvars < 1:
-            raise ValueError("need at least one variable")
+            raise InvalidInput("need at least one variable")
         if degree_bound < 0:
-            raise ValueError("degree bound must be non-negative")
+            raise InvalidInput("degree bound must be non-negative")
         self.nvars = nvars
         self.degree_bound = degree_bound
         cleaned: dict[Exponent, Coefficient] = {}
         for exp, c in (coeffs or {}).items():
             if len(exp) != nvars:
-                raise ValueError(f"exponent {exp} has wrong arity")
+                raise InvalidInput(f"exponent {exp} has wrong arity")
             c = _exact(c)
             if c != 0 and sum(exp) <= degree_bound:
                 cleaned[exp] = c
@@ -80,7 +82,7 @@ class TruncatedSeries:
 
     def _compatible(self, other: "TruncatedSeries") -> None:
         if self.nvars != other.nvars or self.degree_bound != other.degree_bound:
-            raise ValueError("series have different variable counts or bounds")
+            raise InvalidInput("series have different variable counts or bounds")
 
     def __add__(self, other: "TruncatedSeries | Fraction | int") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -166,7 +168,7 @@ class TruncatedSeries:
     def evaluate(self, point: Sequence[Fraction | float]):
         """Plug numbers into the truncated polynomial (approximate for series)."""
         if len(point) != self.nvars:
-            raise ValueError("evaluation point has wrong arity")
+            raise InvalidInput("evaluation point has wrong arity")
         total = None
         for exp, c in sorted(self.coeffs.items()):
             value = c

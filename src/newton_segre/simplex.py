@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, InvalidInput
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -31,7 +31,7 @@ class Constraint:
 
     def __post_init__(self):
         if self.relation not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+            raise InvalidInput(f"unknown relation {self.relation!r}")
 
 
 @dataclass
@@ -49,7 +49,7 @@ class LpProblem:
     def add(self, coeffs: Iterable[Fraction | int], relation: str, rhs: Fraction | int) -> None:
         coeffs = tuple(Fraction(c) for c in coeffs)
         if len(coeffs) != self.num_vars:
-            raise ValueError("constraint width does not match variable count")
+            raise InvalidInput("constraint width does not match variable count")
         self.constraints.append(Constraint(coeffs, relation, Fraction(rhs)))
 
 

@@ -1,0 +1,35 @@
+from fractions import Fraction as F
+
+import pytest
+
+from newton_segre import (Constraint, GeneralizedSimplex, InvalidInput,
+                          LpProblem, TruncatedSeries, bernoulli, make_piece,
+                          polygamma)
+from newton_segre.decompose import piece_membership
+from newton_segre.linalg import det
+
+_FLAT = GeneralizedSimplex(((F(0), F(0)), (F(1), F(1)), (F(2), F(2))), frozenset(), 1)
+_SERIES = TruncatedSeries(2, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bernoulli(0),
+    lambda: polygamma(0, 1.0),
+    lambda: det([[1, 2, 3], [4, 5, 6]]),
+    lambda: make_piece([(1, 0), (0, 1)], [0, 1]),
+    lambda: piece_membership(_FLAT, (F(1, 2), F(1, 3))),
+    lambda: TruncatedSeries(0, 3),
+    lambda: TruncatedSeries(2, -1),
+    lambda: TruncatedSeries(2, 3, {(1, 0, 0): 1}),
+    lambda: _SERIES + TruncatedSeries(2, 4),
+    lambda: _SERIES.evaluate([F(1)]),
+    lambda: Constraint((F(1),), "<", F(0)),
+    lambda: LpProblem((F(1), F(1))).add([1], "<=", 0),
+], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
+        "piece_membership-singular", "series-nvars", "series-bound",
+        "series-exponent-arity", "series-mismatch", "series-point-arity",
+        "constraint-relation", "lp-add-width"])
+def test_caller_input_errors_are_typed(call):
+    """Bad caller input raises InvalidInput, which is still a ValueError."""
+    with pytest.raises(InvalidInput):
+        call()

@@ -113,6 +113,20 @@ def test_exact_mode_three_vars_bounded():
     assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
 
 
+@pytest.mark.parametrize("gens, m, cutoff", [
+    ([(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)], 6, None),
+    ([(2, 1, 0, 0), (0, 0, 1, 1), (1, 0, 2, 0)], 3, 9),
+])
+def test_exact_mode_four_vars(gens, m, cutoff):
+    """n = 4 sends the column sums through polygamma of order 4."""
+    ideal = make_ideal(4, gens)
+    X = (F(1, 2), F(1, 3), F(1, 5), F(1, 7))
+    exact = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff,
+                                            arithmetic="exact_rational"))
+    approx = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
+    assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
+
+
 def test_lct_mode_agrees_with_membership_small():
     ideal = make_ideal(2, [(2, 0), (0, 2)])
     X = (F(1, 2), F(1, 2))

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newton_segre import (CutoffTooSmall, NonPositiveArgument,
                           PrecisionUnreachable, bernoulli, polygamma,
                           polygamma_extended, sum_inverse_cubes,
                           verify_diagonal_identity, verify_power_identity,
                           verify_two_variable_identity)
+from newton_segre.polygamma import SHIFT_THRESHOLD
 
 
 def direct_series(r: int, x: float, terms: int = 10 ** 7) -> float:
@@ -101,6 +105,40 @@ def test_domain_and_precision_errors():
         polygamma(2, -3.0)
     with pytest.raises(PrecisionUnreachable):
         polygamma(1, 1.0, eps=1e-60)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_against_mpmath_on_log_grid(r):
+    """Relative error at most 1e-15 against 40-digit mpmath over [1e-3, 1e6],
+    at the default eps (which must never be out of reach)."""
+    xs = np.logspace(-3, 6, 181)
+    values = polygamma(r, xs)
+    with mpmath.workdps(40):
+        for x, v in zip(xs, values):
+            ref = mpmath.polygamma(r, mpmath.mpf(float(x)))
+            assert abs(float((mpmath.mpf(float(v)) - ref) / ref)) <= 1e-15
+
+
+_BELOW = st.floats(1e-3, SHIFT_THRESHOLD, exclude_max=True)
+_ABOVE = st.floats(SHIFT_THRESHOLD, 1e6)
+
+
+@given(st.integers(1, 6), st.lists(_BELOW, min_size=1, max_size=8),
+       st.lists(_ABOVE, min_size=1, max_size=8), st.randoms(use_true_random=False))
+def test_array_elements_equal_scalar_calls(r, below, above, rnd):
+    """Each element is computed independently of the others, bitwise."""
+    values = below + above
+    rnd.shuffle(values)
+    xs = np.array(values)
+    out = polygamma(r, xs)
+    for i, x in enumerate(values):
+        assert out[i] == polygamma(r, x)
+
+
+@pytest.mark.parametrize("x", [1.0, 1e4])
+def test_precision_floor_is_reported(x):
+    with pytest.raises(PrecisionUnreachable):
+        polygamma(1, x, eps=1e-60)
 
 
 def test_sum_inverse_cubes_matches_direct():
