@@ -25,20 +25,19 @@ from .polyhedron import (Facet, NewtonPolyhedron, contains, contains_lp,
                          polyhedron_to_json)
 from .segre import SegreClassResult, evaluate, integrate_piece, segre_class
 from .series import TruncatedSeries
-from .simplex import (INFEASIBLE, OPTIMAL, UNBOUNDED, Constraint, LpOutcome,
-                      LpProblem, feasible, solve_lp)
+from .simplex import feasible, solve_lp
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientTooSmall", "BernoulliTable", "Constraint", "ConvergenceRow",
+    "AmbientTooSmall", "BernoulliTable", "ConvergenceRow",
     "CutoffTooSmall", "DegenerateFacet", "DimensionMismatch",
     "EstimateTooLarge", "EstimatorConfig", "Facet", "GeneralizedSimplex",
-    "INFEASIBLE", "InternalInconsistency", "InvalidInput", "LpOutcome", "LpProblem", "ModeAgreement", "MonomialIdeal",
+    "InternalInconsistency", "InvalidInput", "ModeAgreement", "MonomialIdeal",
     "NegativeCoordinate", "NewtonPolyhedron", "NewtonSegreError",
-    "NonPositiveArgument", "NonPositiveParameter", "OPTIMAL", "ParseError",
+    "NonPositiveArgument", "NonPositiveParameter", "ParseError",
     "PrecisionUnreachable", "SegreClassResult", "TruncatedSeries",
-    "UNBOUNDED", "ZeroGenerator", "bernoulli", "cone_decomposition",
+    "ZeroGenerator", "bernoulli", "cone_decomposition",
     "contains", "contains_lp", "convergence_report", "cross_stretch_factors",
     "diagonal_exit", "estimate", "evaluate", "feasible", "in_newton_region",
     "integrate_piece", "kernel_term", "lct", "lct_condition", "make_ideal",

@@ -17,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .decompose import cone_decomposition
 from .errors import EstimateTooLarge, InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
 from .lattice import (EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, EstimatorConfig,
@@ -36,7 +37,7 @@ def _parse_x(text: str) -> tuple[Fraction, ...]:
     try:
         return tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
-        raise NewtonSegreError(f"bad parameter list {text!r}: {exc}") from None
+        raise InvalidInput(f"bad parameter list {text!r}: {exc}") from None
 
 
 def _parse_m_list(text: str) -> list[int]:
@@ -103,7 +104,7 @@ def _cmd_estimate(args) -> int:
     start = time.perf_counter()
     value = estimate(ideal, cfg)
     elapsed = time.perf_counter() - start
-    exact = evaluate(segre_class(ideal, ambient_dim=max(ideal.n, 1)), list(X))
+    exact = evaluate(cone_decomposition(newton_polyhedron(ideal)), X)
     payload = {
         "m": args.m,
         "estimate": _fmt(float(value)),
@@ -135,7 +136,7 @@ def _identity_params(text: str) -> dict[str, float]:
     for part in text.split(","):
         key, _, value = part.partition("=")
         if not value:
-            raise NewtonSegreError(f"bad --params entry {part!r}, expected key=value")
+            raise InvalidInput(f"bad --params entry {part!r}, expected key=value")
         try:
             params[key.strip()] = float(Fraction(value.strip()))
         except (ValueError, ZeroDivisionError):
@@ -176,59 +177,41 @@ def _cmd_verify(args) -> int:
 
 
 def _staircase_svg(poly) -> str:
-    """Minimal SVG of the n=2 staircase: extreme points and diagram facets."""
-    pts = poly.extreme_points
+    """Minimal SVG of the n=2 staircase: extreme points and the diagram as
+    one polyline, from (v_0[0], top) through the extreme points by a1 to
+    (top, v_last[1])."""
+    pts = sorted(poly.extreme_points)
     top = max(max(p) for p in pts) + 1
     scale = 60
     size = (top + 1) * scale
 
-    def sx(v) -> float:
-        return float(v) * scale + scale / 2
+    def xy(p) -> tuple[float, float]:
+        return p[0] * scale + scale / 2, size - p[1] * scale - scale / 2
 
-    def sy(v) -> float:
-        return size - float(v) * scale - scale / 2
+    def polyline(points, style: str) -> str:
+        coords = " ".join(f"{x},{y}" for x, y in map(xy, points))
+        return f'<polyline points="{coords}" fill="none" {style}/>'
 
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
-    lines.append(f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(top)}" y2="{sy(0)}" '
-                 'stroke="black"/>')
-    lines.append(f'<line x1="{sx(0)}" y1="{sy(0)}" x2="{sx(0)}" y2="{sy(top)}" '
-                 'stroke="black"/>')
-    for f in poly.diagram_facets:
-        w1, w2, c = f.normal[0], f.normal[1], Fraction(f.offset)
-        ends = []
-        if w1 > 0:
-            x_at = c / w1  # where a2 = 0
-            if 0 <= x_at <= top:
-                ends.append((x_at, Fraction(0)))
-        if w2 > 0:
-            y_at = c / w2
-            if 0 <= y_at <= top:
-                ends.append((Fraction(0), y_at))
-        if w1 == 0:
-            ends = [(Fraction(0), c / w2), (Fraction(top), c / w2)]
-        if w2 == 0:
-            ends = [(c / w1, Fraction(0)), (c / w1, Fraction(top))]
-        # intersections with the other facets bound the drawn segment; for a
-        # sketch, clip to the bounding box through the two computed ends
-        if len(ends) >= 2:
-            (x1, y1), (x2, y2) = ends[0], ends[1]
-            lines.append(f'<line x1="{sx(x1)}" y1="{sy(y1)}" x2="{sx(x2)}" '
-                         f'y2="{sy(y2)}" stroke="steelblue" stroke-width="2"/>')
+    path = [(pts[0][0], top)] + pts + [(top, pts[-1][1])]
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">',
+             polyline([(0, top), (0, 0), (top, 0)], 'stroke="black"'),
+             polyline(path, 'stroke="steelblue" stroke-width="2"')]
     for p in pts:
-        lines.append(f'<circle cx="{sx(p[0])}" cy="{sy(p[1])}" r="5" fill="crimson"/>')
+        cx, cy = xy(p)
+        lines.append(f'<circle cx="{cx}" cy="{cy}" r="5" fill="crimson"/>')
     lines.append("</svg>")
     return "\n".join(lines)
 
 
 def _cmd_diagram(args) -> int:
     ideal = _ideal_from_args(args)
+    if args.svg and ideal.n != 2:
+        raise InvalidInput("staircase SVG is only drawn for n = 2")
     poly = newton_polyhedron(ideal)
     payload = polyhedron_to_json(poly)
     payload["ideal"] = serialize_ideal(ideal)
     print(json.dumps(payload))
     if args.svg:
-        if poly.n != 2:
-            raise NewtonSegreError("staircase SVG is only drawn for n = 2")
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(_staircase_svg(poly))
     return 0

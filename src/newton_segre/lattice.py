@@ -57,11 +57,13 @@ from typing import Callable, Sequence
 # numpy is imported inside the functions that use it, so the exact-geometry
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
+from .decompose import cone_decomposition
 from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
 from .lct import region_condition_via_lct
 from .polygamma import polygamma
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
+from .segre import evaluate
 
 MEMBERSHIP = "membership_based"
 LCT_BASED = "lct_based"
@@ -153,21 +155,22 @@ def _int_facets(poly: NewtonPolyhedron) -> tuple[np.ndarray, np.ndarray]:
     return W, C
 
 
-def _axis_bound(W: np.ndarray, C: np.ndarray, axis: int, m: int) -> int | None:
-    """Largest a_axis of any member point, or None when the axis is unbounded."""
-    import numpy as np
-    if np.any(W[:, axis] == 0):
-        return None
-    return max(int(C[f]) * m // int(W[f, axis]) for f in range(W.shape[0]))
+def _axis_limits(W: np.ndarray, C: np.ndarray, m: int,
+                 cutoff: int) -> tuple[list[int], list[int]]:
+    """Per axis i, the core threshold and the box limit of the region.
 
-
-def _box_limits(poly: NewtonPolyhedron, m: int, cutoff: int) -> list[int]:
-    W, C = _int_facets(poly)
-    limits = []
-    for axis in range(poly.n):
-        bound = _axis_bound(W, C, axis, m)
-        limits.append(min(bound, cutoff) if bound is not None else cutoff)
-    return limits
+    core_i is the largest a_i that a facet seeing axis i (W_f,i > 0) admits,
+    max C_f*m // W_f,i, capped at the cutoff. limit_i is core_i when every
+    facet sees axis i, so the region is bounded along it, and the cutoff
+    otherwise.
+    """
+    core, limits = [], []
+    for i in range(W.shape[1]):
+        core.append(min(max((int(C[f]) * m // int(W[f, i])
+                             for f in range(W.shape[0]) if W[f, i] > 0), default=0),
+                        cutoff))
+        limits.append(core[i] if W[:, i].all() else cutoff)
+    return core, limits
 
 
 def _member_mask(W: np.ndarray, C: np.ndarray, m: int,
@@ -233,10 +236,10 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [float(x) for x in cfg.X]
-    limits = _box_limits(poly, m, cfg.ray_cutoff)
+    _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
     total = 0.0
     for axis in range(n):
-        if _axis_bound(W, C, axis, m) is not None:
+        if W[:, axis].all():
             continue
         cross = math.prod(limits[i] for i in range(n) if i != axis)
         shift = sum(xs[i] for i in range(n) if i != axis)
@@ -255,11 +258,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [float(x) for x in cfg.X]
-    limits = _box_limits(poly, m, cfg.ray_cutoff)
-    core = [min(max((int(C[f]) * m // int(W[f, i])
-                     for f in range(W.shape[0]) if W[f, i] > 0), default=0),
-                limits[i])
-            for i in range(n)]
+    core, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
 
     cells = []
     columns = 0
@@ -313,7 +312,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     for x in xs:
         L = L * x.denominator // math.gcd(L, x.denominator)
     lx = [int(x * L) for x in xs]
-    limits = _box_limits(poly, m, cfg.ray_cutoff)
+    _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
     largest = L * m + sum(x * limit for x, limit in zip(lx, limits))
@@ -353,7 +352,7 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
     cross-stretched ideal and comparing its threshold against m.
     """
     m, n = cfg.m, poly.n
-    limits = _box_limits(poly, m, cfg.ray_cutoff)
+    _, limits = _axis_limits(*_int_facets(poly), m, cfg.ray_cutoff)
     points = math.prod(max(limit, 0) for limit in limits)
     if points > 200_000:
         raise EstimateTooLarge(
@@ -376,11 +375,8 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
     """Estimates along increasing m with the exact value and absolute errors."""
     if list(m_list) != sorted(m_list):
         raise InvalidInput("m_list must be increasing")
-    from .segre import evaluate, segre_class
-
-    result = segre_class(ideal, ambient_dim=max(ideal.n, 1))
     exact_X = [Fraction(x) if isinstance(x, (Fraction, int)) else x for x in X]
-    exact_value = float(evaluate(result, exact_X))
+    exact_value = float(evaluate(cone_decomposition(newton_polyhedron(ideal)), exact_X))
     rows = []
     for m in m_list:
         cfg = EstimatorConfig(
@@ -463,7 +459,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     poly = newton_polyhedron(ideal)
     W, C = _int_facets(poly)
     cutoff = scan_cutoff if scan_cutoff is not None else 4 * m
-    limits = _box_limits(poly, m, cutoff)
+    _, limits = _axis_limits(W, C, m, cutoff)
     counter = [0]
     interior = 0
     edge = 0

@@ -5,10 +5,10 @@ which the main diagonal t*(1,...,1) first enters the Newton polyhedron.
 That exit parameter sigma is the internal primitive here (it avoids
 reciprocal churn); the threshold itself is a view on it.
 
-sigma is computed two ways on every call -- an exact simplex LP over the
-extreme points, and the maximum of c / <w, (1,..,1)> over diagram facets --
-and the two must agree, which keeps the LP solver and the facet enumeration
-honest against each other.
+sigma is computed two ways on every call -- the diagonal-exit LP of
+simplex.solve_lp, which reads only the extreme points, and the maximum of
+c / <w, (1,..,1)> over diagram facets -- and the two must agree, which keeps
+the LP solver and the facet enumeration honest against each other.
 """
 
 from __future__ import annotations
@@ -21,21 +21,14 @@ from typing import Sequence
 from .errors import InternalInconsistency, InvalidInput
 from .ideals import MonomialIdeal, stretch
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
-from .simplex import LpProblem, solve_lp
+from .simplex import solve_lp
 
 
 def diagonal_exit(poly: NewtonPolyhedron) -> Fraction:
     """min { s >= 0 : s*(1,...,1) lies in the polyhedron }, exactly."""
-    k = len(poly.extreme_points)
-    # variables: s, lambda_1..lambda_k
-    prob = LpProblem(objective=(Fraction(1),) + (Fraction(0),) * k)
-    for coord in range(poly.n):
-        prob.add([-1] + [v[coord] for v in poly.extreme_points], "<=", 0)
-    prob.add([0] + [1] * k, "=", 1)
-    outcome = solve_lp(prob)
-    if not outcome.is_optimal:
-        raise InternalInconsistency(f"diagonal exit LP is {outcome.status}")
-    via_lp = outcome.value
+    via_lp = solve_lp(poly.extreme_points)
+    if via_lp is None:
+        raise InternalInconsistency("diagonal exit LP is infeasible")
 
     via_facets = max(
         Fraction(f.offset, sum(f.normal)) for f in poly.diagram_facets

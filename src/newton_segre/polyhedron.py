@@ -12,6 +12,11 @@ diagram facet.
 Facets are integral: normals and offsets are plain ints, points are exact
 rationals. Membership and facet decisions are sign decisions and must not
 depend on tolerances.
+
+A generator is extreme iff the membership LP (simplex.feasible) puts it
+outside conv(other generators) + orthant. contains_lp asks the same LP about
+a point over the extreme points; it never reads the facets, so it checks
+the facet route of contains independently.
 """
 
 from __future__ import annotations
@@ -62,19 +67,8 @@ class NewtonPolyhedron:
 
 
 def _is_extreme(candidate: ExponentVector, others: Sequence[ExponentVector]) -> bool:
-    """candidate is extreme iff it is not in conv(others) + orthant.
-
-    Tested as infeasibility of: lambda >= 0, sum lambda = 1,
-    sum lambda_j v_j <= candidate componentwise.
-    """
-    if not others:
-        return True
-    k = len(others)
-    constraints = []
-    for coord in range(len(candidate)):
-        constraints.append(([v[coord] for v in others], "<=", candidate[coord]))
-    constraints.append(([1] * k, "=", 1))
-    return not feasible(constraints, k)
+    """candidate is extreme iff it is not in conv(others) + orthant."""
+    return not others or not feasible(others, candidate)
 
 
 @lru_cache(maxsize=512)
@@ -132,14 +126,7 @@ def contains_lp(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> bool
     Kept alongside the facet route on purpose; the two must agree and the
     test suite checks that they do.
     """
-    p = _check_point(poly.n, point)
-    k = len(poly.extreme_points)
-    constraints = []
-    for coord in range(poly.n):
-        constraints.append(
-            ([v[coord] for v in poly.extreme_points], "<=", p[coord]))
-    constraints.append(([1] * k, "=", 1))
-    return feasible(constraints, k)
+    return feasible(poly.extreme_points, _check_point(poly.n, point))
 
 
 def in_newton_region(ideal: MonomialIdeal | NewtonPolyhedron,

@@ -103,12 +103,14 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
     )
 
 
-def evaluate(target: SegreClassResult | TruncatedSeries, point: Sequence):
+def evaluate(target: SegreClassResult | Sequence[GeneralizedSimplex] | TruncatedSeries,
+             point: Sequence):
     """Value at positive parameters.
 
-    For a SegreClassResult this sums the closed-form piece values and is
-    exact when the point is rational; for a bare TruncatedSeries it evaluates
-    the truncated polynomial, which is only an approximation of the class.
+    For a SegreClassResult or a list of pieces (a cone decomposition of the
+    Newton region) this sums the closed-form piece values and is exact when
+    the point is rational; for a bare TruncatedSeries it evaluates the
+    truncated polynomial, which is only an approximation of the class.
     """
     values = list(point)
     if any((isinstance(x, (Fraction, int)) and x <= 0) or
@@ -116,9 +118,10 @@ def evaluate(target: SegreClassResult | TruncatedSeries, point: Sequence):
         raise NonPositiveParameter(f"evaluation needs positive parameters: {values}")
     if isinstance(target, TruncatedSeries):
         return target.evaluate(values)
+    pieces = target.pieces if isinstance(target, SegreClassResult) else target
     exact = all(isinstance(x, (Fraction, int)) for x in values)
     xs = [Fraction(x) for x in values] if exact else [float(x) for x in values]
     total = Fraction(0) if exact else 0.0
-    for piece in target.pieces:
+    for piece in pieces:
         total += piece_value(piece, xs)
     return total

@@ -8,9 +8,13 @@ every one still resolves.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import newton_segre
+from newton_segre import make_ideal, simplex
+from newton_segre.lct import diagonal_exit
+from newton_segre.polyhedron import contains_lp, newton_polyhedron
 from newton_segre.series import TruncatedSeries
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -35,3 +39,28 @@ def test_traced_names_resolve():
     missing += [f"TruncatedSeries.{method}" for method in tracing.SERIES_METHODS
                 if method not in TruncatedSeries.__dict__]
     assert missing == []
+
+
+def test_every_lp_reaches_solve_lp(monkeypatch):
+    """bench/run.py reports simplex.lp.calls as the calls of simplex.solve_lp,
+    wrapped in every namespace that holds it, so every LP must go through
+    that name."""
+    original = simplex.solve_lp
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == newton_segre.__name__:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    newton_polyhedron.cache_clear()
+    poly = newton_polyhedron(make_ideal(2, [(2, 0), (1, 1), (0, 3)]))
+    assert len(calls) == 3  # one extreme-point LP per generator
+    assert contains_lp(poly, (1, 2))
+    assert len(calls) == 4
+    diagonal_exit(poly)
+    assert len(calls) == 5

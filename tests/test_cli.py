@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -80,6 +82,12 @@ def test_diagram_json_and_svg(tmp_path, capsys):
     assert payload["extreme_points"] == [[1, 1], [2, 0]]
     assert any(f["diagram"] for f in payload["facets"])
     assert svg.read_text().startswith("<svg")
+    # 60 px per unit, half a unit of margin, y pointing down in a 4-unit box
+    lines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+    staircase = [(round((float(x) - 30) / 60), round((210 - float(y)) / 60))
+                 for x, y in (pt.split(",") for pt in lines[1].split())]
+    # a1 >= 1 down to (1,1), the facet (1,1)-(2,0), then the a1 axis
+    assert staircase == [(1, 3), (1, 1), (2, 0), (3, 0)]
 
 
 def test_parse_error_is_machine_readable(capsys):
@@ -152,6 +160,10 @@ def test_estimate_requires_m(capsys):
      "EstimateTooLarge"),
     (["lct", '{"n":"x","generators":[[1,2]]}'], "InvalidInput"),
     (["lct", '{"n":2,"generators":5}'], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,a", "--m", "10"], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X", "--m-list", "5"],
+     "InvalidInput"),
+    (["diagram", "x1*x2*x3", "--svg", os.devnull], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args

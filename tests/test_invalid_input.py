@@ -2,9 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from newton_segre import (Constraint, GeneralizedSimplex, InvalidInput,
-                          LpProblem, TruncatedSeries, bernoulli, make_piece,
-                          polygamma)
+from newton_segre import (GeneralizedSimplex, InvalidInput, TruncatedSeries,
+                          bernoulli, make_piece, polygamma)
 from newton_segre.decompose import piece_membership
 from newton_segre.linalg import det
 
@@ -23,12 +22,9 @@ _SERIES = TruncatedSeries(2, 3)
     lambda: TruncatedSeries(2, 3, {(1, 0, 0): 1}),
     lambda: _SERIES + TruncatedSeries(2, 4),
     lambda: _SERIES.evaluate([F(1)]),
-    lambda: Constraint((F(1),), "<", F(0)),
-    lambda: LpProblem((F(1), F(1))).add([1], "<=", 0),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
-        "series-exponent-arity", "series-mismatch", "series-point-arity",
-        "constraint-relation", "lp-add-width"])
+        "series-exponent-arity", "series-mismatch", "series-point-arity"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):

@@ -2,106 +2,85 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from newton_segre import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, feasible,
-                          solve_lp)
+from newton_segre import feasible, solve_lp
+
+
+def scipy_exit(points, target):
+    """Float oracle: min s >= 0 with target + s*(1,...,1) in conv(points) + orthant."""
+    n, k = len(target), len(points)
+    A_ub = [[-1] + [v[i] for v in points] for i in range(n)]
+    ref = linprog(c=[1] + [0] * k, A_ub=A_ub, b_ub=[float(x) for x in target],
+                  A_eq=[[0] + [1] * k], b_eq=[1], bounds=[(0, None)] * (k + 1),
+                  method="highs")
+    assert ref.success
+    return ref.fun
 
 
 def test_symmetric_two_point_problem():
-    # minimize s subject to s >= lam, s >= 1 - lam, 0 <= lam <= 1
-    prob = LpProblem(objective=(F(1), F(0)))  # variables: s, lam
-    prob.add([1, -1], ">=", 0)
-    prob.add([1, 1], ">=", 1)
-    prob.add([0, 1], "<=", 1)
-    out = solve_lp(prob)
-    assert out.status == OPTIMAL
-    assert out.value == F(1, 2)
+    # s >= max(3 - 2 lam, 1 + 2 lam) is smallest at lam = 1/2
+    assert solve_lp([(1, 3), (3, 1)]) == 2
 
 
 def test_diagonal_exit_of_maximal_ideal():
-    # minimize s with s*(1,1) >= lam1*(1,0) + lam2*(0,1), lam on the simplex
-    prob = LpProblem(objective=(F(1), F(0), F(0)))
-    prob.add([-1, 1, 0], "<=", 0)
-    prob.add([-1, 0, 1], "<=", 0)
-    prob.add([0, 1, 1], "=", 1)
-    out = solve_lp(prob)
-    assert out.status == OPTIMAL
-    assert out.value == F(1, 2)
-    assert out.witness[0] == F(1, 2)
+    assert solve_lp([(1, 0), (0, 1)]) == F(1, 2)
 
 
-def test_infeasible_system():
-    prob = LpProblem(objective=(F(0),))
-    prob.add([1], ">=", 2)
-    prob.add([1], "<=", 1)
-    assert solve_lp(prob).status == INFEASIBLE
-
-
-def test_unbounded():
-    prob = LpProblem(objective=(F(-1),))
-    prob.add([1], ">=", 1)
-    assert solve_lp(prob).status == UNBOUNDED
-
-
-def test_maximize():
-    prob = LpProblem(objective=(F(1), F(1)), maximize=True)
-    prob.add([1, 2], "<=", 4)
-    prob.add([2, 1], "<=", 4)
-    out = solve_lp(prob)
-    assert out.value == F(8, 3)
-
-
-def test_redundant_equalities_leave_artificial_basic():
-    prob = LpProblem(objective=(F(1), F(0)))
-    prob.add([1, 1], "=", 2)
-    prob.add([2, 2], "=", 4)  # dependent row; phase 1 cannot pivot it out
-    out = solve_lp(prob)
-    assert out.status == OPTIMAL
-    assert out.value == 0
-    assert out.witness[0] + out.witness[1] == 2
+def test_diagonal_exit_of_pure_powers():
+    # (x1^2, x2^3): the diagonal meets the segment at s = 6/5
+    assert solve_lp([(2, 0), (0, 3)]) == F(6, 5)
 
 
 def test_feasibility_helper():
-    assert feasible([([1], ">=", F(1, 2)), ([1], "<=", 1)], 1)
-    assert not feasible([([1], ">=", 2), ([1], "<=", 1)], 1)
+    points = [(2, 0), (0, 3)]
+    assert feasible(points, (2, 0))
+    assert feasible(points, (F(6, 5), F(6, 5)))  # on the diagram
+    assert feasible(points, (5, F(1, 3)))
+    assert not feasible(points, (1, 1))
+    assert solve_lp(points, (2, 0)) == 0
 
 
-def test_witness_satisfies_constraints():
-    prob = LpProblem(objective=(F(3), F(-5), F(4)))
-    prob.add([1, 1, 1], "<=", 10)
-    prob.add([1, -1, 0], ">=", -2)
-    prob.add([0, 1, 2], "=", 4)
-    out = solve_lp(prob)
-    assert out.status == OPTIMAL
-    x = out.witness
-    assert x[0] + x[1] + x[2] <= 10
-    assert x[0] - x[1] >= -2
-    assert x[1] + 2 * x[2] == 4
-    assert all(v >= 0 for v in x)
+def test_infeasible_system():
+    assert not feasible([(1, 0), (0, 1)], (F(1, 4), F(1, 4)))
+    assert solve_lp([(1, 0), (0, 1)], (F(1, 4), F(1, 4))) is None
+
+
+def test_negative_target_is_infeasible():
+    # every point is non-negative, so no combination lies below a negative coordinate
+    assert not feasible([(1, 0), (0, 1)], (-1, 5))
+    assert not feasible([(0, 0, 1)], (4, 4, F(-1, 2)))
+    assert solve_lp([(1, 0), (0, 1)], (5, -1)) is None
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_lps_match_scipy(seed):
-    """Exact optima must match a float LP solver on random small problems."""
+    """Exact hull LPs on seeded point sets up to 5-D with 8 points match highs."""
     rng = random.Random(seed)
-    nvars = rng.randint(1, 4)
-    ncons = rng.randint(1, 5)
-    prob = LpProblem(objective=tuple(F(rng.randint(-4, 4)) for _ in range(nvars)))
-    A, b = [], []
-    for _ in range(ncons):
-        coeffs = [rng.randint(-3, 3) for _ in range(nvars)]
-        rhs = rng.randint(0, 9)
-        prob.add(coeffs, "<=", rhs)
-        A.append(coeffs)
-        b.append(rhs)
-    out = solve_lp(prob)
-    ref = linprog(c=[float(c) for c in prob.objective], A_ub=A, b_ub=b,
-                  bounds=[(0, None)] * nvars, method="highs")
-    if out.status == OPTIMAL:
-        assert ref.success
-        assert abs(float(out.value) - ref.fun) < 1e-9
-    elif out.status == UNBOUNDED:
-        assert ref.status == 3
-    else:
-        assert ref.status == 2
+    n = rng.randint(1, 5)
+    points = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 8))]
+    points = [v for v in points if any(v)] or [(1,) * n]
+    assert abs(float(solve_lp(points)) - scipy_exit(points, (0,) * n)) < 1e-9
+    for _ in range(5):
+        target = tuple(F(rng.randint(0, 30), rng.randint(1, 3)) for _ in range(n))
+        assert feasible(points, target) == (scipy_exit(points, target) < 1e-9)
+
+
+@st.composite
+def hull_problems(draw):
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 6)] * n).filter(any)
+    points = draw(st.lists(point, min_size=1, max_size=6))
+    coordinate = st.builds(F, st.integers(-2, 14), st.integers(1, 3))
+    target = draw(st.one_of(st.sampled_from(points), st.tuples(*[coordinate] * n)))
+    return points, target
+
+
+@given(hull_problems())
+def test_hull_lps_match_scipy(problem):
+    points, target = problem
+    n = len(target)
+    assert abs(float(solve_lp(points)) - scipy_exit(points, (0,) * n)) < 1e-9
+    assert feasible(points, target) == (scipy_exit(points, target) < 1e-9)
