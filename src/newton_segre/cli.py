@@ -86,7 +86,7 @@ def _cmd_estimate(args) -> int:
     X = _parse_x(args.X)
     mode = {"membership": MEMBERSHIP, "lct": LCT_BASED}.get(args.mode, args.mode)
     arith = EXACT if args.arith == "exact" else FLOAT64
-    if args.m_list:
+    if args.m_list is not None:
         rows = convergence_report(
             ideal, X, _parse_m_list(args.m_list), condition_mode=mode,
             arithmetic=arith,
@@ -127,18 +127,32 @@ def _cmd_estimate(args) -> int:
 
 
 class _Params(dict):
+    """--params values as exact rationals, read back as int or float."""
+
     def __missing__(self, key: str):
         raise InvalidInput(f"this identity needs --params {key}=...")
 
+    def integer(self, key: str) -> int:
+        value = self[key]
+        if value.denominator != 1:
+            raise InvalidInput(f"--params {key} must be an integer, got {value}")
+        return int(value)
 
-def _identity_params(text: str) -> dict[str, float]:
+    def real(self, key: str) -> float:
+        try:
+            return float(self[key])
+        except OverflowError:
+            raise InvalidInput(f"--params {key} is beyond the float range") from None
+
+
+def _identity_params(text: str) -> _Params:
     params = _Params()
     for part in text.split(","):
         key, _, value = part.partition("=")
         if not value:
             raise InvalidInput(f"bad --params entry {part!r}, expected key=value")
         try:
-            params[key.strip()] = float(Fraction(value.strip()))
+            params[key.strip()] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"bad --params value {part!r}, expected a rational") from None
     return params
@@ -149,20 +163,20 @@ def _cmd_verify(args) -> int:
     m_values = _parse_m_list(args.m_list)
     rows = []
     if args.identity == "power":
-        ell, X = int(params["l"]), params["X"]
+        ell, X = params.integer("l"), params.real("X")
         # the power check returns the limit argument, whose target is 1/(1+lX)
         target = 1 / (1 + ell * X)
         for m in m_values:
             rows.append((m, verify_power_identity(ell, X, m), target))
     elif args.identity == "two-var":
-        ell, X1, X2 = int(params["l"]), params["X1"], params["X2"]
+        ell, X1, X2 = params.integer("l"), params.real("X1"), params.real("X2")
         target = ell * X1 / (1 + ell * X1)
         for m in m_values:
             rows.append((m, verify_two_variable_identity(
                 ell, X1, X2, m, tail_cutoff=args.cutoff), target))
     else:
-        l1, l2 = int(params["l1"]), int(params["l2"])
-        X1, X2 = params["X1"], params["X2"]
+        l1, l2 = params.integer("l1"), params.integer("l2")
+        X1, X2 = params.real("X1"), params.real("X2")
         target = l1 * l2 * X1 * X2 / ((1 + l1 * X1) * (1 + l2 * X2))
         for m in m_values:
             rows.append((m, verify_diagonal_identity(

@@ -25,7 +25,11 @@ Bernoulli numbers come exactly from the integer tangent numbers.
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
 l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)); callers compare the returned values
-against those targets.
+against those targets. The two-variable and diagonal checks count their
+psi_2 terms before allocating anything and refuse more than MAX_COLUMNS
+(2^22) of them with EstimateTooLarge stating the count; below that they sum
+the terms in blocks of _CHUNK, so their memory does not grow with m or the
+cutoff.
 """
 
 from __future__ import annotations
@@ -38,10 +42,19 @@ from functools import lru_cache
 # numpy is imported inside the functions that use it, so the exact-geometry
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
-from .errors import CutoffTooSmall, InvalidInput, NonPositiveArgument, PrecisionUnreachable
+from .errors import (CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveArgument,
+                     PrecisionUnreachable)
 
 SHIFT_THRESHOLD = 20.0
 _MAX_BERNOULLI = 60
+
+# Largest number of lattice columns (polygamma terms) one lattice estimate or
+# identity check may sum; both refuse above it before allocating anything.
+# They sum their columns in blocks of about _CHUNK, so memory stays bounded
+# and this cap bounds time instead: 2^22 columns take about 0.2 s on a
+# 2-vCPU Xeon.
+MAX_COLUMNS = 1 << 22
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -115,13 +128,12 @@ def polygamma(r: int, x, eps: float = 1e-12):
         raise InvalidInput("polygamma order must be >= 1")
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(np.float64)
-    if np.any(arr <= 0):
+    shifted = np.atleast_1d(arr).astype(np.float64)  # a copy the kernel works in
+    if np.any(shifted <= 0):
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
 
-    shifted = arr.copy()
-    correction = np.zeros_like(arr)
-    comp = np.zeros_like(arr)  # Kahan carry for the shift sum
+    correction = np.zeros_like(shifted)
+    comp = np.zeros_like(shifted)  # Kahan carry for the shift sum
     rsign = (-1.0) ** (r + 1)  # psi_r(x) - psi_r(x+1) = (-1)^(r+1) r! / x^(r+1)
     rfact = float(math.factorial(r))
     while True:
@@ -141,15 +153,28 @@ def polygamma(r: int, x, eps: float = 1e-12):
     if floor > eps:
         raise PrecisionUnreachable(
             f"asymptotic floor {floor:.3e} above requested eps {eps:.3e}")
+    # In place, in the operation order of
+    #   rsign * (power * inv) * (rfact/2 + inv * horner)
+    #     + rsign * (r-1)! * power + correction,
+    # with power = x^-r; IEEE products and sums commute, so every element
+    # is bitwise the value that expression gives.
     inv = 1.0 / shifted
     inv2 = inv * inv
-    horner = 0.0
+    horner = np.zeros_like(inv)
     for c in coeffs:
-        horner = horner * inv2 + c
-    power = shifted ** -r
-    rest = rsign * (power * inv) * (rfact / 2.0 + inv * horner)
-    result = (rest + rsign * float(math.factorial(r - 1)) * power) + correction
-    return float(result[0]) if scalar else result
+        horner *= inv2
+        horner += c
+    horner *= inv
+    horner += rfact / 2.0
+    power = shifted
+    power **= -r
+    inv *= power
+    inv *= rsign
+    inv *= horner
+    power *= rsign * float(math.factorial(r - 1))
+    inv += power
+    inv += correction
+    return float(inv[0]) if scalar else inv
 
 
 def polygamma_extended(r: int, x: float, eps: float = 1e-16) -> float:
@@ -212,12 +237,56 @@ def _psi2_tail(first_excluded: float, X1: float, X2: float, shift: float) -> flo
     return -(X2 ** 2 / X1) / (shift + first_excluded * X1)
 
 
-def _tail_rule_cutoff(start: int, X1: float, X2: float, shift: float,
-                      m: int, tolerance: float) -> int:
-    """Smallest cutoff with estimated tail below tolerance/10, plus headroom."""
-    target = tolerance / 10.0
-    needed = ((X2 ** 2 / X1) / target - shift) / X1
-    return int(max(start + 20 * m, needed)) + 1
+def _truncation(name: str, first: int, start: int, X1: float, X2: float,
+                shift: float, m: int, tail_cutoff: int | None,
+                tolerance: float) -> tuple[int, float]:
+    """The last summed index and the estimated tail beyond it.
+
+    The sum runs over a1 = first..tail_cutoff with the tail rule applying
+    from start on. The default cutoff is the smallest one whose estimated
+    tail is below tolerance/10, plus headroom. The terms are counted before
+    the cutoff is cast to int (the rule's cutoff is a float, infinite when X1
+    is tiny) or anything is allocated, and more than MAX_COLUMNS of them
+    raise EstimateTooLarge with the count.
+    """
+    if not tolerance > 0:
+        raise InvalidInput(f"tolerance must be positive, got {tolerance}")
+    if tail_cutoff is None:
+        target = tolerance / 10.0
+        needed = ((X2 ** 2 / X1) / target - shift) / X1
+        tail_cutoff = max(start + 20 * m, needed) + 1
+    terms = tail_cutoff - first + 1
+    if terms > MAX_COLUMNS:
+        raise EstimateTooLarge(
+            f"{name} identity needs {terms:.0f} polygamma terms, above the limit "
+            f"of {MAX_COLUMNS}; lower m or the cutoff, or raise X1 or the tolerance")
+    tail_cutoff = int(tail_cutoff)
+    if tail_cutoff < start:
+        raise CutoffTooSmall(f"tail_cutoff {tail_cutoff} below the first index {start}")
+    tail = _psi2_tail(tail_cutoff + 1, X1, X2, shift)
+    if abs(tail) > tolerance / 10.0:
+        raise CutoffTooSmall(
+            f"estimated tail {abs(tail):.3e} exceeds {tolerance / 10.0:.3e} "
+            f"at cutoff {tail_cutoff}")
+    return tail_cutoff, tail
+
+
+def _blocks(start: int, stop: int, width: int = 1):
+    """(first, last) half-open ranges covering range(start, stop) in order,
+    each of at most _CHUNK elements when every integer stands for `width`
+    of them, and of at least one integer."""
+    step = max(1, _CHUNK // width)
+    for first in range(start, stop, step):
+        yield first, min(first + step, stop)
+
+
+def _psi2_sum(first: int, last: int, argument) -> float:
+    """sum_{a=first}^{last} psi_2(argument(a)), with a passed to argument as
+    int64 arrays of one block each."""
+    import numpy as np
+    return math.fsum(
+        float(np.sum(polygamma(2, argument(np.arange(lo, hi, dtype=np.int64)))))
+        for lo, hi in _blocks(first, last + 1))
 
 
 def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
@@ -229,7 +298,6 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     with the sum truncated at tail_cutoff and the remainder estimated from
     psi_2(y) ~ -y^-2. Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
-    import numpy as np
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
     if X1 <= 0 or X2 <= 0:
@@ -237,17 +305,9 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     X1, X2 = float(X1), float(X2)
     start = m * ell
     shift = m + X2
-    if tail_cutoff is None:
-        tail_cutoff = _tail_rule_cutoff(start, X1, X2, shift, m, tolerance)
-    if tail_cutoff < start:
-        raise CutoffTooSmall(f"tail_cutoff {tail_cutoff} below the first index {start}")
-    tail = _psi2_tail(tail_cutoff + 1, X1, X2, shift)
-    if abs(tail) > tolerance / 10.0:
-        raise CutoffTooSmall(
-            f"estimated tail {abs(tail):.3e} exceeds {tolerance / 10.0:.3e} "
-            f"at cutoff {tail_cutoff}")
-    a1 = np.arange(start, tail_cutoff + 1, dtype=np.float64)
-    total = float(np.sum(polygamma(2, (m + a1 * X1 + X2) / X2))) + tail
+    tail_cutoff, tail = _truncation("two-variable", start, start, X1, X2, shift,
+                                    m, tail_cutoff, tolerance)
+    total = _psi2_sum(start, tail_cutoff, lambda a1: (m + a1 * X1 + X2) / X2) + tail
     return 1.0 - (-m * X1 / X2 ** 2) * total
 
 
@@ -271,22 +331,9 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
     X1, X2 = float(X1), float(X2)
     start = m * ell1
     shift = X2 + m  # argument of the truncated sum is 1 + (m + a1 X1)/X2
-    if tail_cutoff is None:
-        tail_cutoff = _tail_rule_cutoff(start, X1, X2, shift, m, tolerance)
-    if tail_cutoff < start:
-        raise CutoffTooSmall(f"tail_cutoff {tail_cutoff} below the first index {start}")
-    tail = _psi2_tail(tail_cutoff + 1, X1, X2, shift)
-    if abs(tail) > tolerance / 10.0:
-        raise CutoffTooSmall(
-            f"estimated tail {abs(tail):.3e} exceeds {tolerance / 10.0:.3e} "
-            f"at cutoff {tail_cutoff}")
-
-    a1 = np.arange(1, start, dtype=np.int64)
-    staircase = m * ell2 - (a1 * ell2) // ell1
-    first = float(np.sum(polygamma(
-        2, staircase.astype(np.float64) + (m + a1.astype(np.float64) * X1) / X2)))
-
-    b1 = np.arange(start, tail_cutoff + 1, dtype=np.float64)
-    second = float(np.sum(polygamma(2, 1.0 + (m + b1 * X1) / X2))) + tail
-
+    tail_cutoff, tail = _truncation("diagonal", 1, start, X1, X2, shift,
+                                    m, tail_cutoff, tolerance)
+    first = _psi2_sum(1, start - 1, lambda a1: (
+        (m * ell2 - (a1 * ell2) // ell1).astype(np.float64) + (m + a1 * X1) / X2))
+    second = _psi2_sum(start, tail_cutoff, lambda b1: 1.0 + (m + b1 * X1) / X2) + tail
     return 1.0 + (m * X1 / X2 ** 2) * (first + second)

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,3 +54,20 @@ def subprocess_env() -> dict[str, str]:
     src = str(Path(newton_segre.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of tracemalloc-traced memory, in bytes, during
+    that one call. Warm caches and imports up before calling this."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak

@@ -164,6 +164,18 @@ def test_estimate_requires_m(capsys):
     (["verify", "--identity", "power", "--params", "l=2,X", "--m-list", "5"],
      "InvalidInput"),
     (["diagram", "x1*x2*x3", "--svg", os.devnull], "InvalidInput"),
+    (["estimate", "x1*x2,x3", "--m", "10", "--X", "1,1"], "InvalidInput"),
+    (["estimate", "x1*x2", "--m-list", "10,20", "--X", "1"], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m-list", ""], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=1,X=1e400", "--m-list", "5"],
+     "InvalidInput"),
+    (["verify", "--identity", "two-var", "--params", "l=1,X1=1e-300,X2=1",
+      "--m-list", "5"], "EstimateTooLarge"),
+    (["verify", "--identity", "power", "--params", "l=1.5,X=1/2", "--m-list", "5"],
+     "InvalidInput"),
+    # about 10^8 polygamma terms
+    (["verify", "--identity", "two-var", "--params", "l=1,X1=1/100,X2=1",
+      "--m-list", "5"], "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args
