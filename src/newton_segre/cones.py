@@ -1,21 +1,23 @@
 """Exact machinery for pointed rational polyhedral cones.
 
-Cones are given by integer generators (tuples of ints). Facets are found by
-exhaustive search over (d-1)-subsets of generators, which is simple and
-robust at the desk scale this package targets (dimension <= 5, at most a
-dozen or so generators). The search runs on the generators' d pivot
-coordinates, a projection that is injective on their span; each facet normal
-is the integer kernel vector of d-1 of them (from linalg's fraction-free
-elimination) divided by its gcd, zero off the pivots. For a full-dimensional
-cone that is the primitive inward normal; for a lower-dimensional one, an
-integer functional cutting out the facet in the span. All of it is plain
-int arithmetic.
-The triangulation is a "pulling" triangulation: cone from the first
-generator in the supplied order over the triangulated facets that do not
-contain it. Each sub-cone is reduced once, inside cone_facets; a sub-cone
-without facets has dimension 0 or 1. That recursion is insensitive to
+Cones are given by integer generators (tuples of ints). cone_facets finds
+the facets of a full-dimensional pointed cone by exhaustive search over
+(d-1)-subsets of generators, which is simple and robust at the desk scale
+this package targets (Newton polyhedra in at most 6 variables). Each
+facet normal is the integer kernel vector of d-1 generators (from linalg's
+fraction-free elimination) divided by its gcd: the primitive inward normal.
+All of it is plain int arithmetic.
+
+pull_triangulation needs no geometry at all. When every generator spans its
+own extreme ray, a face of the cone is the set of generators it contains,
+every face is an intersection of facets, and the facets of a face are the
+inclusion-maximal proper intersections of that face with the cone's facets
+(De Loera, Rambau, Santos, *Triangulations*, 2010, ch. 4). The triangulation
+is a "pulling" triangulation on that face lattice: cone from the first
+generator of a face over the triangulated facets of the face that do not
+contain it; a face of one generator is a leaf. It is insensitive to
 degenerate vertex configurations (e.g. four coplanar vertices on a 2-face)
-and is canonical once the generator order is fixed.
+and canonical once the generator order is fixed.
 """
 
 from __future__ import annotations
@@ -43,66 +45,42 @@ def canonical_normal(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-def cone_facets(gens: Sequence[Vector]) -> list[tuple[Vector, frozenset[int]]]:
-    """Facets of the pointed cone spanned by gens, within their linear span.
-
-    Returns (normal, incidence) pairs: the normal is a coprime integer vector
-    with dot(normal, g) >= 0 for every generator, and incidence is the set of
-    generator indices lying on the facet hyperplane. Facets of the cone
-    relative to its own span, so a full-dimensional input behaves as usual.
-    """
-    _reduced, pivots = rref([list(g) for g in gens])
-    d = len(pivots)
-    if d <= 1:
-        return []
-    projected = [tuple(g[p] for p in pivots) for g in gens]
-    found: dict[frozenset[int], Vector] = {}
-    for subset in combinations(range(len(gens)), d - 1):
-        ker = kernel_basis([projected[s] for s in subset])
+def cone_facets(gens: Sequence[Vector]) -> list[Vector]:
+    """Sorted primitive inward normals of the facets of the pointed,
+    full-dimensional cone spanned by gens: coprime integer vectors y with
+    dot(y, g) >= 0 for every generator g."""
+    found: set[Vector] = set()
+    for subset in combinations(gens, len(gens[0]) - 1):
+        ker = kernel_basis(subset)
         if len(ker) != 1:
             continue
         y = canonical_normal(ker[0])
-        sides = [dot(y, g) for g in projected]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            y = tuple(-x for x in y)
-            sides = [-s for s in sides]
-        else:
-            continue
-        incidence = frozenset(i for i, s in enumerate(sides) if s == 0)
-        if incidence not in found:
-            normal = [0] * len(gens[0])
-            for p, x in zip(pivots, y):
-                normal[p] = x
-            found[incidence] = tuple(normal)
-    return [
-        (normal, inc)
-        for inc, normal in sorted(found.items(), key=lambda kv: sorted(kv[0]))
-    ]
+        sides = [dot(y, g) for g in gens]
+        if min(sides) >= 0:
+            found.add(y)
+        elif max(sides) <= 0:
+            found.add(tuple(-x for x in y))
+    return sorted(found)
 
 
-def pull_triangulation(gens: Sequence[Vector]) -> list[list[int]]:
+def pull_triangulation(count: int, walls: Sequence[frozenset[int]]) -> list[list[int]]:
     """Triangulate a pointed cone into simplicial subcones on its generators.
 
-    Returns index lists into gens; each list is linearly independent and the
-    subcones cover the cone with pairwise disjoint interiors. The result
-    depends only on the order of gens (the first generator of each sub-cone
-    is the pulling pivot), so permuting the input permutes the decomposition.
+    The cone has generators 0..count-1, each spanning its own extreme ray,
+    and walls lists its facets as the sets of generators they contain.
+    Returns index lists; each list is linearly independent and the subcones
+    cover the cone with pairwise disjoint interiors. The result depends only
+    on the numbering of the generators (the smallest index of each face is
+    its pulling pivot), so renumbering them permutes the decomposition.
     """
-    def recurse(indices: list[int]) -> list[list[int]]:
-        sub = [gens[i] for i in indices]
-        facets = cone_facets(sub)
-        if not facets:  # dimension 0 or 1
-            return [[indices[0]]] if any(any(g) for g in sub) else []
-        pivot = indices[0]
-        pieces: list[list[int]] = []
-        for _normal, incidence in facets:
-            if 0 in incidence:  # facet contains the pivot generator
-                continue
-            face = [indices[j] for j in range(len(indices)) if j in incidence]
-            for tau in recurse(face):
-                pieces.append(tau + [pivot])
-        return pieces
+    def recurse(face: frozenset[int]) -> list[list[int]]:
+        if len(face) == 1:
+            return [list(face)]
+        cuts = {face & wall for wall in walls} - {face}
+        facets = sorted((c for c in cuts if not any(c < d for d in cuts)), key=sorted)
+        pivot = min(face)
+        return [tau + [pivot]
+                for facet in facets if pivot not in facet
+                for tau in recurse(facet)]
 
-    return recurse(list(range(len(gens))))
+    return recurse(frozenset(range(count)))

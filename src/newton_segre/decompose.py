@@ -8,13 +8,18 @@ therefore tiles the whole region:
   * each diagram facet is a pointed (n-1)-polyhedron whose recession cone is
     spanned by the axes its normal misses;
   * homogenizing (vertices at height 1, recession axes at height 0) turns it
-    into a pointed n-cone, which pull_triangulation splits into simplicial
+    into a pointed n-cone, a face of the homogenized cone of P, whose
+    generators each span an extreme ray. Its faces are therefore known from
+    the facets of P alone: a facet g of P contributes the vertices on g and
+    the rays parallel to g, and the hyperplane at infinity all the rays.
+    pull_triangulation splits the cone on those index sets into simplicial
     cones on the original vertices and rays;
   * adding the origin as apex to each piece yields a generalized simplex:
     p+1 finite vertices and q axis rays with p + q = n.
 
 Pieces have pairwise disjoint interiors and their union is exactly the
-region; the test suite verifies this pointwise at scale.
+region; the test suite verifies this pointwise at scale. Their vertices are
+the generators' integer tuples and the origin (0,)*n, so jacobians are ints.
 """
 
 from __future__ import annotations
@@ -26,10 +31,7 @@ from typing import Sequence
 from .cones import pull_triangulation
 from .errors import DegenerateFacet, InvalidInput
 from .linalg import det
-from .polyhedron import NewtonPolyhedron, RationalPoint
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .polyhedron import NewtonPolyhedron
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class GeneralizedSimplex:
     int when the vertices are integral).
     """
 
-    finite_vertices: tuple[RationalPoint, ...]
+    finite_vertices: tuple[tuple[Fraction | int, ...], ...]
     ray_axes: frozenset[int]
     jacobian: Fraction | int
 
@@ -49,7 +51,7 @@ class GeneralizedSimplex:
     def n(self) -> int:
         return len(self.finite_vertices[0])
 
-    def coordinate_matrix(self) -> list[list[Fraction]]:
+    def coordinate_matrix(self) -> list[list[Fraction | int]]:
         """Columns spanning the piece from v_0: edge vectors then ray axes."""
         v0 = self.finite_vertices[0]
         cols = [
@@ -57,20 +59,20 @@ class GeneralizedSimplex:
             for v in self.finite_vertices[1:]
         ]
         for axis in sorted(self.ray_axes):
-            e = [_ZERO] * self.n
-            e[axis] = _ONE
+            e = [0] * self.n
+            e[axis] = 1
             cols.append(e)
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.n)]
 
 
 def make_piece(finite_vertices: Sequence[Sequence[Fraction | int]],
                ray_axes: Sequence[int]) -> GeneralizedSimplex:
-    vertices = tuple(tuple(Fraction(x) for x in v) for v in finite_vertices)
+    vertices = tuple(tuple(v) for v in finite_vertices)
     rays = frozenset(int(k) for k in ray_axes)
     n = len(vertices[0])
     if len(vertices) - 1 + len(rays) != n:
         raise InvalidInput("piece needs p+1 vertices and q rays with p+q = n")
-    piece = GeneralizedSimplex(vertices, rays, _ZERO)
+    piece = GeneralizedSimplex(vertices, rays, 0)
     jac = abs(det(piece.coordinate_matrix()))
     if jac == 0:
         raise DegenerateFacet(f"zero jacobian for vertices {vertices}, rays {sorted(rays)}")
@@ -93,7 +95,7 @@ def cone_decomposition(poly: NewtonPolyhedron,
         order = [tuple(v) for v in vertex_order]
         priority = {v: (order.index(v),) for v in poly.extreme_points}
 
-    origin = tuple([_ZERO] * n)
+    origin = (0,) * n
     pieces: list[GeneralizedSimplex] = []
     for facet in poly.diagram_facets:
         vertices = sorted(
@@ -102,21 +104,15 @@ def cone_decomposition(poly: NewtonPolyhedron,
         )
         rays = [axis for axis in range(n) if facet.normal[axis] == 0]
 
-        homog = [v + (1,) for v in vertices]
-        for axis in rays:
-            e = [0] * (n + 1)
-            e[axis] = 1
-            homog.append(tuple(e))
-
-        for piece_indices in pull_triangulation(homog):
-            piece_vertices = [origin]
-            piece_rays = []
-            for idx in piece_indices:
-                if idx < len(vertices):
-                    piece_vertices.append(vertices[idx])
-                else:
-                    piece_rays.append(rays[idx - len(vertices)])
-            pieces.append(make_piece(piece_vertices, piece_rays))
+        # faces of the homogenized facet, as indices into vertices + rays
+        k = len(vertices)
+        walls = [frozenset([i for i, v in enumerate(vertices) if g.value(v) == g.offset]
+                           + [k + j for j, axis in enumerate(rays) if g.normal[axis] == 0])
+                 for g in poly.facets]
+        walls.append(frozenset(range(k, k + len(rays))))
+        for idx in pull_triangulation(k + len(rays), walls):
+            pieces.append(make_piece([origin] + [vertices[i] for i in idx if i < k],
+                                     [rays[i - k] for i in idx if i >= k]))
     return pieces
 
 
@@ -142,7 +138,7 @@ def piece_membership(piece: GeneralizedSimplex,
     p = len(piece.finite_vertices) - 1
     lambdas = coords[:p]
     mus = coords[p:]
-    lambda0 = 1 - sum(lambdas, _ZERO)
+    lambda0 = 1 - sum(lambdas)
     all_coords = [lambda0] + lambdas + mus
     if any(c < 0 for c in all_coords):
         return "outside"

@@ -67,7 +67,7 @@ from .decompose import cone_decomposition
 from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
 from .lct import region_condition_via_lct
-from .polygamma import MAX_COLUMNS, _blocks, polygamma
+from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
 from .segre import evaluate
 
@@ -78,7 +78,6 @@ FLOAT64 = "float64"
 
 # Lattice points per slab of the exact-mode enumeration.
 _SLAB = 1 << 20
-_INT64_MAX = 2 ** 63 - 1
 
 
 @dataclass
@@ -241,11 +240,25 @@ def _check_length(ideal: MonomialIdeal, X: Sequence) -> None:
             f"X has {len(X)} entries for an ideal in {ideal.n} variables")
 
 
+def _float_params(X: Sequence, n: int) -> list[float]:
+    """X in float64, refused unless every X_i^(n+1), the scale of the kernel
+    sums, is a nonzero float64."""
+    try:
+        xs = [float(x) for x in X]
+        fits = all(x ** (n + 1) > 0 for x in xs)  # float ** raises on overflow
+    except OverflowError:
+        fits = False
+    if not fits:
+        raise InvalidInput(f"float64 arithmetic needs every X_i^{n + 1} to be a nonzero "
+                           "float64; use exact arithmetic")
+    return xs
+
+
 def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
     """Crude rigorous bound for the part beyond the cutoff on unbounded axes."""
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
-    xs = [float(x) for x in cfg.X]
+    xs = _float_params(cfg.X, n)
     _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
     total = 0.0
     for axis in range(n):
@@ -267,7 +280,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
     import numpy as np
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
-    xs = [float(x) for x in cfg.X]
+    xs = _float_params(cfg.X, n)
     core, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
 
     cells = []
@@ -377,7 +390,7 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
             "or ray_cutoff, or use membership_based mode")
     exact = cfg.arithmetic == EXACT
     total = Fraction(0) if exact else 0.0
-    xs = [Fraction(x) for x in cfg.X] if exact else [float(x) for x in cfg.X]
+    xs = [Fraction(x) for x in cfg.X] if exact else _float_params(cfg.X, n)
     for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
         if region_condition_via_lct(ideal, a, m):
             total += kernel_term(a, m, xs)

@@ -54,6 +54,7 @@ _MAX_BERNOULLI = 60
 # and this cap bounds time instead: 2^22 columns take about 0.2 s on a
 # 2-vCPU Xeon.
 MAX_COLUMNS = 1 << 22
+_INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
 
 
@@ -234,7 +235,7 @@ def _psi2_tail(first_excluded: float, X1: float, X2: float, shift: float) -> flo
 
     Uses the heuristic psi_2(y) ~ -y^-2 and an integral comparison.
     """
-    return -(X2 ** 2 / X1) / (shift + first_excluded * X1)
+    return -(X2 * X2 / X1) / (shift + first_excluded * X1)
 
 
 def _truncation(name: str, first: int, start: int, X1: float, X2: float,
@@ -253,7 +254,7 @@ def _truncation(name: str, first: int, start: int, X1: float, X2: float,
         raise InvalidInput(f"tolerance must be positive, got {tolerance}")
     if tail_cutoff is None:
         target = tolerance / 10.0
-        needed = ((X2 ** 2 / X1) / target - shift) / X1
+        needed = ((X2 * X2 / X1) / target - shift) / X1
         tail_cutoff = max(start + 20 * m, needed) + 1
     terms = tail_cutoff - first + 1
     if terms > MAX_COLUMNS:
@@ -308,7 +309,7 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     tail_cutoff, tail = _truncation("two-variable", start, start, X1, X2, shift,
                                     m, tail_cutoff, tolerance)
     total = _psi2_sum(start, tail_cutoff, lambda a1: (m + a1 * X1 + X2) / X2) + tail
-    return 1.0 - (-m * X1 / X2 ** 2) * total
+    return 1.0 - (-m * X1 / (X2 * X2)) * total
 
 
 def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
@@ -333,7 +334,12 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
     shift = X2 + m  # argument of the truncated sum is 1 + (m + a1 X1)/X2
     tail_cutoff, tail = _truncation("diagonal", 1, start, X1, X2, shift,
                                     m, tail_cutoff, tolerance)
+    largest = max(m, start - 1) * ell2  # the staircase runs in int64
+    if largest > _INT64_MAX:
+        raise EstimateTooLarge(
+            f"diagonal identity staircase needs integers up to {largest}, beyond "
+            f"the int64 limit {_INT64_MAX}; lower l2 or m")
     first = _psi2_sum(1, start - 1, lambda a1: (
         (m * ell2 - (a1 * ell2) // ell1).astype(np.float64) + (m + a1 * X1) / X2))
     second = _psi2_sum(start, tail_cutoff, lambda b1: 1.0 + (m + b1 * X1) / X2) + tail
-    return 1.0 + (m * X1 / X2 ** 2) * (first + second)
+    return 1.0 + (m * X1 / (X2 * X2)) * (first + second)

@@ -11,7 +11,9 @@ diagram facet.
 
 Facets are integral: normals and offsets are plain ints, points are exact
 rationals. Membership and facet decisions are sign decisions and must not
-depend on tolerances.
+depend on tolerances. The facets are found once, by cone_facets on the
+homogenization; their incidences (the extreme points v with
+f.value(v) == f.offset) are the face lattice that decompose triangulates.
 
 A generator is extreme iff the membership LP (simplex.feasible) puts it
 outside conv(other generators) + orthant. contains_lp asks the same LP about
@@ -92,13 +94,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
         ray[axis] = 1
         homog.append(tuple(ray))
 
-    facets = []
-    for normal, _incidence in cone_facets(homog):
-        w = normal[:n]
-        if not any(w):
-            continue  # hyperplane at infinity, not a facet of the polyhedron
-        facets.append(Facet(normal=w, offset=-normal[n]))
-    facets.sort(key=lambda f: (f.normal, f.offset))
+    # every normal but the hyperplane at infinity's is a facet of P
+    facets = sorted((Facet(normal=y[:n], offset=-y[n])
+                     for y in cone_facets(homog) if any(y[:n])),
+                    key=lambda f: (f.normal, f.offset))
 
     poly = NewtonPolyhedron(n, extremes, tuple(facets))
     for v in extremes:  # cheap sanity; a failure means the enumeration is wrong

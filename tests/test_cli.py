@@ -135,6 +135,24 @@ def test_console_entry_point():
     assert json.loads(proc.stdout) == {"lct": "1", "sigma": "1"}
 
 
+def test_exact_geometry_commands_do_not_load_numpy():
+    """lct, segre and diagram stay off numpy, whose import costs about
+    14 MiB and tens of milliseconds per process; only the lattice and
+    polygamma code may load it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from newton_segre.cli import main\n"
+        "for argv in (['lct', 'x1^2,x2^3'], ['segre', 'x1^2,x1*x2,x2^3', '--ambient', '2'],\n"
+        "             ['diagram', 'x1^2,x1*x2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_estimate_requires_m(capsys):
     with pytest.raises(SystemExit):
         main(["estimate", "x1*x2", "--X", "1,1"])
@@ -176,6 +194,20 @@ def test_estimate_requires_m(capsys):
     # about 10^8 polygamma terms
     (["verify", "--identity", "two-var", "--params", "l=1,X1=1/100,X2=1",
       "--m-list", "5"], "EstimateTooLarge"),
+    # the float path needs every X_i^(n+1) to be a nonzero float64
+    (["estimate", "x1*x2", "--m", "10", "--X", "1e400,1"], "InvalidInput"),
+    (["estimate", "x1*x2", "--m-list", "5,10", "--X", "1e400,1"], "InvalidInput"),
+    (["estimate", "x1^2,x2^3", "--m", "10", "--X", "1,1e-400"], "InvalidInput"),
+    (["estimate", "x1^2,x2^3", "--m", "10", "--X", "1,1e-300"], "InvalidInput"),
+    (["estimate", "x1^2,x2^3", "--m", "10", "--X", "1,1e150"], "InvalidInput"),
+    # X2^2 is beyond the float range, so the tail rule needs infinitely many terms
+    (["verify", "--identity", "two-var", "--params", "l=1,X1=1,X2=1e200",
+      "--m-list", "5"], "EstimateTooLarge"),
+    (["verify", "--identity", "diagonal", "--params", "l1=1,l2=1,X1=1,X2=1e200",
+      "--m-list", "5"], "EstimateTooLarge"),
+    # the staircase m*l2 - floor(a1*l2/l1) would leave int64
+    (["verify", "--identity", "diagonal", "--params",
+      "l1=1,l2=100000000000000000000,X1=1,X2=1", "--m-list", "5"], "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args

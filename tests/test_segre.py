@@ -94,17 +94,19 @@ def test_region_and_polyhedron_partition_unity():
         poly = newton_polyhedron(ideal)
         X = [F(1, k + 2) for k in range(n)]
 
-        homog = [tuple(F(e) for e in v) + (F(1),) for v in poly.extreme_points]
-        for axis in range(n):
-            ray = [F(0)] * (n + 1)
-            ray[axis] = F(1)
-            homog.append(tuple(ray))
+        # the homogenized cone of P: extreme points (v, 1) then axis rays
+        # (e_k, 0); its facets as generator sets are those of P, each with
+        # the rays parallel to it, and the hyperplane at infinity
+        k = len(poly.extreme_points)
+        walls = [frozenset([i for i, v in enumerate(poly.extreme_points)
+                            if f.value(v) == f.offset]
+                           + [k + axis for axis in range(n) if f.normal[axis] == 0])
+                 for f in poly.facets]
+        walls.append(frozenset(range(k, k + n)))
         over_polyhedron = F(0)
-        for idx in pull_triangulation(homog):
-            verts = [poly.extreme_points[i] for i in idx
-                     if i < len(poly.extreme_points)]
-            rays = [i - len(poly.extreme_points) for i in idx
-                    if i >= len(poly.extreme_points)]
+        for idx in pull_triangulation(k + n, walls):
+            verts = [poly.extreme_points[i] for i in idx if i < k]
+            rays = [i - k for i in idx if i >= k]
             piece = make_piece([tuple(F(c) for c in v) for v in verts], rays)
             over_polyhedron += piece_value(piece, X)
 
