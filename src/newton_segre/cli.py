@@ -2,8 +2,8 @@
 
 Subcommands: lct, segre, estimate, verify, diagram. Exact results are
 serialized as "p/q" strings, never floats; estimator and identity outputs
-are CSV with 17 significant digits. Errors exit nonzero with a one-line
-JSON object on stderr.
+are CSV with 17 significant digits. Errors, bad arguments included, exit
+with code 2 and a one-line JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import EstimateTooLarge, InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
 from .lattice import (EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, EstimatorConfig,
                       convergence_report, estimate)
-from .lct import diagonal_exit, lct
+from .lct import diagonal_exit
 from .polygamma import (verify_diagonal_identity, verify_power_identity,
                         verify_two_variable_identity)
 from .polyhedron import newton_polyhedron, polyhedron_to_json
@@ -61,7 +61,7 @@ def _ideal_from_args(args) -> "MonomialIdeal":  # noqa: F821
 def _cmd_lct(args) -> int:
     ideal = _ideal_from_args(args)
     sigma = diagonal_exit(newton_polyhedron(ideal))
-    print(json.dumps({"lct": str(lct(ideal)), "sigma": str(sigma)}))
+    print(json.dumps({"lct": str(1 / sigma), "sigma": str(sigma)}))
     return 0
 
 
@@ -89,8 +89,7 @@ def _cmd_estimate(args) -> int:
     if args.m_list is not None:
         rows = convergence_report(
             ideal, X, _parse_m_list(args.m_list), condition_mode=mode,
-            arithmetic=arith,
-            ray_cutoff=(lambda m: args.cutoff) if args.cutoff else None)
+            arithmetic=arith, ray_cutoff=args.cutoff)
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
         writer.writerow(["m", "estimate", "exact", "abs_error", "seconds"])
@@ -161,30 +160,29 @@ def _identity_params(text: str) -> _Params:
 def _cmd_verify(args) -> int:
     params = _identity_params(args.params)
     m_values = _parse_m_list(args.m_list)
-    rows = []
+    # each target is computed after the checks, which validate the parameters
     if args.identity == "power":
         ell, X = params.integer("l"), params.real("X")
+        values = [verify_power_identity(ell, X, m) for m in m_values]
         # the power check returns the limit argument, whose target is 1/(1+lX)
         target = 1 / (1 + ell * X)
-        for m in m_values:
-            rows.append((m, verify_power_identity(ell, X, m), target))
     elif args.identity == "two-var":
         ell, X1, X2 = params.integer("l"), params.real("X1"), params.real("X2")
+        values = [verify_two_variable_identity(ell, X1, X2, m, tail_cutoff=args.cutoff)
+                  for m in m_values]
         target = ell * X1 / (1 + ell * X1)
-        for m in m_values:
-            rows.append((m, verify_two_variable_identity(
-                ell, X1, X2, m, tail_cutoff=args.cutoff), target))
     else:
         l1, l2 = params.integer("l1"), params.integer("l2")
         X1, X2 = params.real("X1"), params.real("X2")
+        values = [verify_diagonal_identity(l1, l2, X1, X2, m, tail_cutoff=args.cutoff)
+                  for m in m_values]
         target = l1 * l2 * X1 * X2 / ((1 + l1 * X1) * (1 + l2 * X2))
-        for m in m_values:
-            rows.append((m, verify_diagonal_identity(
-                l1, l2, X1, X2, m, tail_cutoff=args.cutoff), target))
+    if not math.isfinite(target):
+        raise InvalidInput(f"the {args.identity} identity's target is not a finite float64")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
     writer.writerow(["m", "value", "target"])
-    for m, value, target in rows:
+    for m, value in zip(m_values, values):
         writer.writerow([m, _fmt(value), _fmt(target)])
     sys.stdout.write(out.getvalue())
     return 0
@@ -231,8 +229,15 @@ def _cmd_diagram(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInput, reported as one JSON line by main."""
+
+    def error(self, message: str):
+        raise InvalidInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="newton-segre",
         description="Newton polyhedra, log canonical thresholds and Segre "
                     "classes of monomial ideals")
@@ -283,11 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "estimate" and args.m is None and args.m_list is None:
-        parser.error("estimate needs --m or --m-list")
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "estimate" and args.m is None and args.m_list is None:
+            raise InvalidInput("estimate needs --m or --m-list")
         return args.func(args)
     except NewtonSegreError as exc:
         sys.stderr.write(json.dumps(

@@ -42,7 +42,9 @@ that exact mode enumerates, up to float rounding.
 
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
-(EstimateTooLarge) when its integer denominators would leave int64.
+(EstimateTooLarge) when its integer denominators would leave int64. Like
+kernel_term, the lct_based mode sums exactly from the rational value of
+every X_i and converts to float only at return, in float64 mode.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
@@ -58,18 +60,18 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 # numpy is imported inside the functions that use it, so the exact-geometry
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
 from .decompose import cone_decomposition
-from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
+from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
 from .ideals import MonomialIdeal
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
-from .polyhedron import NewtonPolyhedron, newton_polyhedron
-from .segre import evaluate
+from .polyhedron import NewtonPolyhedron, in_newton_region, newton_polyhedron
+from .segre import _exact_point, evaluate
 
 MEMBERSHIP = "membership_based"
 LCT_BASED = "lct_based"
@@ -93,8 +95,7 @@ class EstimatorConfig:
         if self.m < 1:
             raise InvalidInput(f"m must be a positive integer, got {self.m}")
         self.X = tuple(self.X)
-        if any((x <= 0) for x in self.X):
-            raise NonPositiveParameter(f"estimator parameters must be positive: {self.X}")
+        _exact_point(self.X)
         if self.condition_mode not in (MEMBERSHIP, LCT_BASED):
             raise InvalidInput(f"unknown condition mode {self.condition_mode!r}")
         if self.arithmetic not in (EXACT, FLOAT64):
@@ -126,23 +127,16 @@ class ModeAgreement:
 
 
 def kernel_term(a: Sequence[int], m: int, X: Sequence):
-    """One summand of the estimator; exact when X is rational, float otherwise."""
+    """One summand of the estimator, exact; a float when some X_i is a float."""
     n = len(a)
     if len(X) != n:
         raise InvalidInput("a and X must have the same length")
     if m < 1 or any(ai < 1 for ai in a):
         raise InvalidInput("kernel is defined for m >= 1 and a_i >= 1")
-    if any(x <= 0 for x in X):
-        raise NonPositiveParameter(f"kernel parameters must be positive: {tuple(X)}")
-    exact = all(isinstance(x, (Fraction, int)) for x in X)
-    if exact:
-        xs = [Fraction(x) for x in X]
-        num = m * math.factorial(n) * math.prod(xs)
-        den = (m + sum(ai * x for ai, x in zip(a, xs))) ** (n + 1)
-        return num / den
-    num = m * math.factorial(n) * math.prod(float(x) for x in X)
-    den = (m + sum(ai * float(x) for ai, x in zip(a, X))) ** (n + 1)
-    return num / den
+    xs, inexact = _exact_point(X)
+    num = m * math.factorial(n) * math.prod(xs)
+    value = num / (m + sum(ai * x for ai, x in zip(a, xs))) ** (n + 1)
+    return float(value) if inexact else value
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +218,8 @@ def estimate(ideal: MonomialIdeal, cfg: EstimatorConfig):
     float in float64 mode.
     """
     _check_length(ideal, cfg.X)
+    if cfg.arithmetic == EXACT and _exact_point(cfg.X)[1]:
+        raise InvalidInput("exact_rational arithmetic needs rational X")
     poly = newton_polyhedron(ideal)
     if cfg.condition_mode == LCT_BASED:
         return _estimate_bruteforce(ideal, poly, cfg)
@@ -333,8 +329,6 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     over distinct denominator values instead of over lattice points.
     """
     import numpy as np
-    if not all(isinstance(x, (Fraction, int)) for x in cfg.X):
-        raise InvalidInput("exact_rational arithmetic needs rational X")
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [Fraction(x) for x in cfg.X]
@@ -379,41 +373,40 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
     """Literal per-point pipeline for lct_based mode (slow; a stress test).
 
     Membership of each lattice point is decided by rebuilding the
-    cross-stretched ideal and comparing its threshold against m.
+    cross-stretched ideal and comparing its threshold against m. The sum is
+    exact, and converted to float at return in float64 mode.
     """
-    m, n = cfg.m, poly.n
+    m = cfg.m
     _, limits = _axis_limits(*_int_facets(poly), m, cfg.ray_cutoff)
     points = math.prod(max(limit, 0) for limit in limits)
     if points > 200_000:
         raise EstimateTooLarge(
             f"lct_based mode would rebuild {points} stretched ideals; lower m "
             "or ray_cutoff, or use membership_based mode")
-    exact = cfg.arithmetic == EXACT
-    total = Fraction(0) if exact else 0.0
-    xs = [Fraction(x) for x in cfg.X] if exact else _float_params(cfg.X, n)
+    xs, _ = _exact_point(cfg.X)
+    total = Fraction(0)
     for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
         if region_condition_via_lct(ideal, a, m):
             total += kernel_term(a, m, xs)
-    return total
+    return total if cfg.arithmetic == EXACT else float(total)
 
 
 def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
                        condition_mode: str = MEMBERSHIP,
                        arithmetic: str = FLOAT64,
-                       ray_cutoff: Callable[[int], int] | None = None
-                       ) -> list[ConvergenceRow]:
-    """Estimates along increasing m with the exact value and absolute errors."""
+                       ray_cutoff: int | None = None) -> list[ConvergenceRow]:
+    """Estimates along increasing m with the exact value and absolute errors.
+
+    ray_cutoff applies to every m; None means each m's default 10*m^2.
+    """
     if list(m_list) != sorted(m_list):
         raise InvalidInput("m_list must be increasing")
     _check_length(ideal, X)
-    exact_X = [Fraction(x) if isinstance(x, (Fraction, int)) else x for x in X]
-    exact_value = float(evaluate(cone_decomposition(newton_polyhedron(ideal)), exact_X))
+    exact_value = float(evaluate(cone_decomposition(newton_polyhedron(ideal)), X))
     rows = []
     for m in m_list:
-        cfg = EstimatorConfig(
-            m=m, X=tuple(X), condition_mode=condition_mode,
-            ray_cutoff=None if ray_cutoff is None else ray_cutoff(m),
-            arithmetic=arithmetic)
+        cfg = EstimatorConfig(m=m, X=tuple(X), condition_mode=condition_mode,
+                              ray_cutoff=ray_cutoff, arithmetic=arithmetic)
         start = time.perf_counter()
         value = float(estimate(ideal, cfg))
         elapsed = time.perf_counter() - start
@@ -472,9 +465,7 @@ def _lct_threshold(ideal: MonomialIdeal, m: int, outer: tuple[int, ...], b1: int
 
 
 def mode_agreement_report(ideal: MonomialIdeal, m: int,
-                          scan_cutoff: int | None = None,
-                          spot_checks: int = 50,
-                          rng_seed: int = 0) -> ModeAgreement:
+                          scan_cutoff: int | None = None) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
     Both sets are down-closed, so each column along axis 0 (the other
@@ -482,7 +473,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     membership top from the facet inequalities is compared against a
     bracketed search for the lct top; mismatched points are classified as
     interior (all a_i > 1) or edge (some a_i = 1). Additionally spot-checks
-    random points through both literal pipelines.
+    50 random points (seed 0) through both literal pipelines.
     """
     import numpy as np
     import random
@@ -494,11 +485,6 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     counter = [0]
     interior = 0
     edge = 0
-
-    from .polyhedron import in_newton_region
-
-    def member(a: tuple[int, ...]) -> bool:
-        return in_newton_region(poly, tuple(Fraction(ai, m) for ai in a))
 
     b1 = limits[0]
     columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
@@ -517,18 +503,17 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
                     interior += 1
     covered = math.prod(limits)
 
-    rng = random.Random(rng_seed)
-    checked = 0
-    if all(limit >= 1 for limit in limits):
-        for _ in range(spot_checks):
-            a = tuple(rng.randint(1, limit) for limit in limits)
-            counter[0] += 1
-            checked += 1
-            if member(a) != region_condition_via_lct(ideal, a, m):
-                if any(ai == 1 for ai in a):
-                    edge += 1
-                else:
-                    interior += 1
+    rng = random.Random(0)
+    checked = 50 if all(limit >= 1 for limit in limits) else 0
+    for _ in range(checked):
+        a = tuple(rng.randint(1, limit) for limit in limits)
+        counter[0] += 1
+        member = in_newton_region(poly, tuple(Fraction(ai, m) for ai in a))
+        if member != region_condition_via_lct(ideal, a, m):
+            if any(ai == 1 for ai in a):
+                edge += 1
+            else:
+                interior += 1
 
     return ModeAgreement(
         m=m, points_covered=covered, lct_evaluations=counter[0],

@@ -15,24 +15,29 @@ trusted.
 
 Every factor of that product has integer coefficients (the vertices are
 generators, the jacobian an integer determinant), so the expansions run on
-int-coefficient series. Each vertex is shared by many pieces; its factor
+integer series. Each vertex is shared by many pieces; its factor
 1 / (1 + v . X) is expanded once per (nvars, degree bound, vertex) and
 reused.
 
 Summing the expansions over a cone decomposition of the region gives the
 multivariate class; substituting every X_i by the hyperplane class H and
 truncating above the ambient dimension gives the pushforward.
+
+Values at a positive point sum the closed forms in exact rationals, and are
+converted to float once, at return, when some coordinate was a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational, Real
 from typing import Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
-from .errors import AmbientTooSmall, NonPositiveParameter
+from .errors import AmbientTooSmall, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
 from .polyhedron import newton_polyhedron
 from .series import TruncatedSeries
@@ -43,7 +48,7 @@ class SegreClassResult:
     ideal: MonomialIdeal
     ambient_dim: int
     multivariate: TruncatedSeries
-    pushforward: tuple[Fraction | int, ...]
+    pushforward: tuple[int, ...]
     pieces: tuple[GeneralizedSimplex, ...]
 
     def pushforward_strings(self) -> list[str]:
@@ -52,7 +57,7 @@ class SegreClassResult:
 
 @lru_cache(maxsize=1024)
 def _vertex_factor(nvars: int, degree_bound: int,
-                   vertex: tuple[Fraction | int, ...]) -> TruncatedSeries:
+                   vertex: tuple[int, ...]) -> TruncatedSeries:
     """1 / (1 + vertex . X) as a truncated series; callers must not mutate it."""
     return TruncatedSeries.one_plus_linear(nvars, degree_bound, vertex).inverse()
 
@@ -68,16 +73,35 @@ def integrate_piece(piece: GeneralizedSimplex, nvars: int,
     return series
 
 
+def _exact_point(point: Sequence) -> tuple[list[Fraction], bool]:
+    """The coordinates as exact rationals (a float is read as the rational it
+    stores), and whether some coordinate was inexact. Each must be a finite
+    real (InvalidInput) above zero (NonPositiveParameter)."""
+    values, inexact = list(point), False
+    for x in values:
+        if not isinstance(x, Rational):
+            if not (isinstance(x, Real) and math.isfinite(x)):
+                raise InvalidInput(f"parameters must be finite real numbers: {values}")
+            inexact = True
+    if any(x <= 0 for x in values):
+        raise NonPositiveParameter(f"parameters must be positive: {values}")
+    return [Fraction(x) for x in values], inexact
+
+
 def piece_value(piece: GeneralizedSimplex, point: Sequence):
-    """Closed-form value of the piece integral at a positive point."""
-    value = piece.jacobian if isinstance(point[0], (Fraction, int)) else float(piece.jacobian)
+    """Closed-form value of the piece integral at a positive point, exact; a
+    float when some coordinate of the point is a float."""
+    xs, inexact = _exact_point(point)
+    if len(xs) != piece.n:
+        raise InvalidInput(f"point {tuple(point)} has {len(xs)} coordinates, "
+                           f"the piece {piece.n}")
+    value = Fraction(piece.jacobian)
     for axis in range(piece.n):
         if axis not in piece.ray_axes:
-            value = value * point[axis]
+            value *= xs[axis]
     for vertex in piece.finite_vertices:
-        den = 1 + sum(v * x for v, x in zip(vertex, point))
-        value = value / den
-    return value
+        value /= 1 + sum(v * x for v, x in zip(vertex, xs))
+    return float(value) if inexact else value
 
 
 def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
@@ -103,25 +127,12 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
     )
 
 
-def evaluate(target: SegreClassResult | Sequence[GeneralizedSimplex] | TruncatedSeries,
-             point: Sequence):
-    """Value at positive parameters.
-
-    For a SegreClassResult or a list of pieces (a cone decomposition of the
-    Newton region) this sums the closed-form piece values and is exact when
-    the point is rational; for a bare TruncatedSeries it evaluates the
-    truncated polynomial, which is only an approximation of the class.
-    """
-    values = list(point)
-    if any((isinstance(x, (Fraction, int)) and x <= 0) or
-           (isinstance(x, float) and x <= 0) for x in values):
-        raise NonPositiveParameter(f"evaluation needs positive parameters: {values}")
-    if isinstance(target, TruncatedSeries):
-        return target.evaluate(values)
+def evaluate(target: SegreClassResult | Sequence[GeneralizedSimplex], point: Sequence):
+    """Value of the class at a positive point: the sum of the closed-form
+    piece values over a cone decomposition of the Newton region (a
+    SegreClassResult's pieces, or a list of pieces). Exact; a float,
+    converted once from the exact sum, when some coordinate is a float."""
+    xs, inexact = _exact_point(point)
     pieces = target.pieces if isinstance(target, SegreClassResult) else target
-    exact = all(isinstance(x, (Fraction, int)) for x in values)
-    xs = [Fraction(x) for x in values] if exact else [float(x) for x in values]
-    total = Fraction(0) if exact else 0.0
-    for piece in pieces:
-        total += piece_value(piece, xs)
-    return total
+    total = sum((piece_value(piece, xs) for piece in pieces), Fraction(0))
+    return float(total) if inexact else total

@@ -83,17 +83,17 @@ def solve_lp(points: Sequence[Sequence[int]],
     basis = list(range(art - n, art)) + [art]
 
     _minimize(T, basis, [_ZERO] * art + [_ONE])
+    if art in basis and T[basis.index(art)][-1] != 0:
+        return None
+    if target is not None:
+        return _ZERO
     if art in basis:
-        r = basis.index(art)
-        if T[r][-1] != 0:
-            return None
         # A zero-valued artificial leaves the basis, so that its column can
         # be dropped before phase 2. Its row always has a nonzero entry
         # outside that column: the convexity row is no combination of the
         # slack rows.
+        r = basis.index(art)
         _pivot(T, basis, r, next(c for c in range(art) if T[r][c] != 0))
-    if target is not None:
-        return _ZERO
     for row in T:
         del row[art]
     _minimize(T, basis, [_ONE] + [_ZERO] * (art - 1))

@@ -112,6 +112,16 @@ def test_explicit_n_flag(capsys):
     assert push1 == push2 == ["3", "-9", "27", "-81"]
 
 
+def test_lct_mode_estimate_with_large_X(capsys):
+    """The lct-based sum is exact, so (m + a.X)^3 with X2 = 1e102 cannot
+    overflow as the float kernel terms did."""
+    code, out, err = run_cli(["estimate", "x1^2,x2^3", "--m", "10", "--X", "1,1e102",
+                              "--mode", "lct"], capsys)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert 0 < float(payload["estimate"]) < float(payload["exact"])
+
+
 def test_deterministic_bytes(capsys):
     _, first, _ = run_cli(
         ["estimate", "x1^2,x2^3", "--m", "40", "--X", "1/3,1/2",
@@ -154,8 +164,11 @@ def test_exact_geometry_commands_do_not_load_numpy():
 
 
 def test_estimate_requires_m(capsys):
-    with pytest.raises(SystemExit):
-        main(["estimate", "x1*x2", "--X", "1,1"])
+    code, out, err = run_cli(["estimate", "x1*x2", "--X", "1,1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "InvalidInput",
+                               "message": "estimate needs --m or --m-list"}
 
 
 @pytest.mark.parametrize("args", [
@@ -208,6 +221,27 @@ def test_estimate_requires_m(capsys):
     # the staircase m*l2 - floor(a1*l2/l1) would leave int64
     (["verify", "--identity", "diagonal", "--params",
       "l1=1,l2=100000000000000000000,X1=1,X2=1", "--m-list", "5"], "EstimateTooLarge"),
+    # m*l + m/X beyond the float range: an int too large, and m/X = inf
+    (["verify", "--identity", "power", "--params", "l=1" + "0" * 400 + ",X=1",
+      "--m-list", "5"], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=1,X=1e-320", "--m-list", "5"],
+     "InvalidInput"),
+    # the two-variable identities: l beyond int64, X1 <= 0 and X2^2 underflowing
+    # to 0 reach their checks before the target is computed; a target of inf/inf
+    (["verify", "--identity", "two-var", "--params", "l=1" + "0" * 400 + ",X1=1,X2=1",
+      "--m-list", "5"], "EstimateTooLarge"),
+    (["verify", "--identity", "two-var", "--params", "l=1,X1=-1,X2=1", "--m-list", "5"],
+     "NonPositiveArgument"),
+    (["verify", "--identity", "diagonal", "--params", "l1=1,l2=1,X1=1,X2=1e-300",
+      "--m-list", "5"], "InvalidInput"),
+    (["verify", "--identity", "two-var", "--params", "l=3,X1=1e308,X2=1e10",
+      "--m-list", "1"], "InvalidInput"),
+    # argparse usage errors: a bad int, a missing required flag, an unknown
+    # flag, no subcommand
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "a"], "InvalidInput"),
+    (["segre", "x1"], "InvalidInput"),
+    (["lct", "x1", "--bogus"], "InvalidInput"),
+    ([], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args
@@ -216,6 +250,13 @@ def test_estimate_bad_input_is_typed(args, capsys):
     assert out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == error
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["estimate", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: newton-segre estimate")
 
 
 @pytest.mark.parametrize("args, cost", [

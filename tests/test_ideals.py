@@ -1,9 +1,17 @@
+import json
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newton_segre import (DimensionMismatch, ParseError, ZeroGenerator,
                           make_ideal, monomial_str, parse_ideal,
                           serialize_ideal, stretch)
 from tests.conftest import random_ideal
+
+_IDEALS = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any),
+    min_size=1, max_size=6).map(lambda gens: make_ideal(n, gens)))
 
 
 def test_dominated_generator_removed():
@@ -108,6 +116,25 @@ def test_round_trip(rng):
     for _ in range(25):
         ideal = random_ideal(rng)
         assert parse_ideal(serialize_ideal(ideal)) == ideal
+
+
+@given(_IDEALS, st.randoms(use_true_random=False))
+def test_round_trips(ideal, rnd):
+    """The dict, JSON and text forms all parse back to the same ideal, also
+    with the generators and factors reordered and spaces added."""
+    assert parse_ideal(serialize_ideal(ideal)) == ideal
+    assert parse_ideal(json.dumps(serialize_ideal(ideal))) == ideal
+    text = ", ".join(monomial_str(g) for g in ideal.generators)
+    assert str(ideal) == f"({text})"
+    assert parse_ideal(text, n=ideal.n) == ideal
+    shuffled = []
+    for g in rnd.sample(ideal.generators, len(ideal.generators)):
+        factors = monomial_str(g).split("*")
+        rnd.shuffle(factors)
+        shuffled.append(" * ".join(factors))
+    assert parse_ideal(" ,  ".join(shuffled), n=ideal.n) == ideal
+    widest = max(i for g in ideal.generators for i, e in enumerate(g) if e) + 1
+    assert parse_ideal(text) == make_ideal(widest, [g[:widest] for g in ideal.generators])
 
 
 def test_monomial_str():

@@ -4,7 +4,8 @@ import pytest
 
 from newton_segre import (EstimatorConfig, GeneralizedSimplex, InvalidInput,
                           TruncatedSeries, bernoulli, convergence_report, estimate,
-                          make_ideal, make_piece, polygamma, verify_two_variable_identity)
+                          evaluate, make_ideal, make_piece, polygamma,
+                          verify_two_variable_identity)
 from newton_segre.decompose import piece_membership
 from newton_segre.linalg import det
 
@@ -22,13 +23,13 @@ _SERIES = TruncatedSeries(2, 3)
     lambda: TruncatedSeries(2, -1),
     lambda: TruncatedSeries(2, 3, {(1, 0, 0): 1}),
     lambda: _SERIES + TruncatedSeries(2, 4),
-    lambda: _SERIES.evaluate([F(1)]),
+    lambda: evaluate([make_piece([(0, 0), (1, 0), (0, 1)], [])], [F(1)]),
     lambda: estimate(make_ideal(3, [(1, 1, 0), (0, 0, 1)]), EstimatorConfig(10, (1, 1))),
     lambda: convergence_report(make_ideal(2, [(1, 1)]), (1,), [10, 20]),
     lambda: verify_two_variable_identity(2, 0.5, 0.5, 10, tolerance=0.0),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
-        "series-exponent-arity", "series-mismatch", "series-point-arity",
+        "series-exponent-arity", "series-mismatch", "piece-point-arity",
         "estimate-X-length", "convergence-X-length", "identity-tolerance"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""

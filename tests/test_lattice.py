@@ -31,6 +31,17 @@ def test_kernel_term_first_index_of_power_sum():
     assert kernel_term((m * ell,), m, (x,)) == m * x / (m + m * ell * x) ** 2
 
 
+def test_kernel_term_is_exact_then_float():
+    """Float X are read as the rationals they store; the term is computed
+    exactly and converted once, so (m + a.X)^(n+1) cannot overflow."""
+    for X in ((0.5, 0.25), (1.0, 1e102), (1e-300, 3.0)):
+        value = kernel_term((2, 3), 5, X)
+        assert type(value) is float
+        assert value == float(kernel_term((2, 3), 5, tuple(F(x) for x in X)))
+    with pytest.raises(InvalidInput):
+        kernel_term((1, 1), 1, (F(1), float("inf")))
+
+
 def test_kernel_term_validation():
     with pytest.raises(ValueError):
         kernel_term((0,), 1, (F(1),))
@@ -136,6 +147,18 @@ def test_lct_mode_agrees_with_membership_small():
     assert member == literal
 
 
+def test_lct_mode_sums_exactly():
+    """The float64 lct-mode value is the exact sum rounded once, for X far
+    beyond where float kernel terms overflowed."""
+    ideal = make_ideal(2, [(2, 0), (0, 3)])
+    for X in ((F(1, 3), F(1, 2)), (F(1), F(10) ** 102)):
+        exact = estimate(ideal, EstimatorConfig(
+            m=6, X=X, arithmetic="exact_rational", condition_mode=LCT_BASED))
+        value = estimate(ideal, EstimatorConfig(m=6, X=X, condition_mode=LCT_BASED))
+        assert type(value) is float
+        assert value == float(exact) > 0
+
+
 def test_lct_mode_refuses_runaway_enumeration():
     ideal = make_ideal(2, [(1, 1)])
     cfg = EstimatorConfig(m=100, X=(F(1), F(1)), condition_mode=LCT_BASED)
@@ -187,6 +210,14 @@ def test_uniform_stretch_family_report():
         rows = convergence_report(ideal, (F(1), F(1)), [100, 200, 400])
         errors = [row.abs_error for row in rows]
         assert errors == sorted(errors, reverse=True)
+
+
+def test_convergence_report_cutoff_applies_to_every_m():
+    ideal = make_ideal(2, [(1, 1)])
+    X = (F(1, 2), F(1, 3))
+    rows = convergence_report(ideal, X, [10, 20], ray_cutoff=400)
+    for row in rows:
+        assert row.estimate == estimate(ideal, EstimatorConfig(m=row.m, X=X, ray_cutoff=400))
 
 
 def test_convergence_report_requires_increasing_m():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import mpmath
@@ -104,13 +105,12 @@ def test_domain_and_precision_errors():
     with pytest.raises(NonPositiveArgument):
         polygamma(2, -3.0)
     with pytest.raises(PrecisionUnreachable):
-        polygamma(1, 1.0, eps=1e-60)
+        polygamma(39, 1.0)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
 def test_against_mpmath_on_log_grid(r):
-    """Relative error at most 1e-15 against 40-digit mpmath over [1e-3, 1e6],
-    at the default eps (which must never be out of reach)."""
+    """Relative error at most 1e-15 against 40-digit mpmath over [1e-3, 1e6]."""
     xs = np.logspace(-3, 6, 181)
     values = polygamma(r, xs)
     with mpmath.workdps(40):
@@ -133,12 +133,6 @@ def test_array_elements_equal_scalar_calls(r, below, above, rnd):
     out = polygamma(r, xs)
     for i, x in enumerate(values):
         assert out[i] == polygamma(r, x)
-
-
-@pytest.mark.parametrize("x", [1.0, 1e4])
-def test_precision_floor_is_reported(x):
-    with pytest.raises(PrecisionUnreachable):
-        polygamma(1, x, eps=1e-60)
 
 
 def test_sum_inverse_cubes_matches_direct():
@@ -211,6 +205,15 @@ def test_diagonal_identity_tracks_exact_class():
     errors = [abs(verify_diagonal_identity(2, 3, 1 / 3, 1 / 2, m) - exact)
               for m in (250, 500, 1000)]
     assert errors == sorted(errors, reverse=True)
+
+
+def test_identity_arguments_past_float_range_are_quiet():
+    """m + a1*X1 past float64 is inf, where psi_2 is 0: the sums stay
+    finite and numpy's overflow warning does not reach stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_two_variable_identity(1, 1e308, 1e10, 1) == 1.0
+        assert math.isfinite(verify_diagonal_identity(1, 2, 1e308, 1e10, 1))
 
 
 def test_identity_cutoff_errors():

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
-from newton_segre import (AmbientTooSmall, NonPositiveParameter,
+from newton_segre import (AmbientTooSmall, InvalidInput, NonPositiveParameter,
                           TruncatedSeries, cone_decomposition, evaluate,
                           integrate_piece, make_ideal, make_piece,
                           newton_polyhedron, segre_class)
@@ -125,20 +126,26 @@ def test_evaluate_examples():
     assert 0 < tiny < F(1, 100_000)  # no constant term: vanishes at X -> 0
 
 
-def test_evaluate_series_is_approximate_only():
-    result = segre_class(make_ideal(1, [(1,)]), ambient_dim=3)
-    exact = evaluate(result, [F(1, 10)])
-    truncated = evaluate(result.multivariate, [F(1, 10)])
-    assert exact == F(1, 11)
-    assert truncated == F(1, 10) - F(1, 100) + F(1, 1000)
-
-
 def test_evaluate_rejects_nonpositive():
     result = segre_class(make_ideal(1, [(1,)]), ambient_dim=2)
     with pytest.raises(NonPositiveParameter):
         evaluate(result, [F(0)])
     with pytest.raises(NonPositiveParameter):
-        evaluate(result.multivariate, [-1.0])
+        evaluate(result, [-1.0])
+
+
+def test_float_point_is_read_exactly():
+    """A float coordinate is read as the rational it stores, and the exact
+    sum is converted to float once; products like X1*X2 never overflow."""
+    result = segre_class(make_ideal(2, [(2, 0), (1, 1), (0, 3)]), ambient_dim=2)
+    for X in ([0.1, 0.3], [1e200, 1e200], [1e-300, 2.5]):
+        value = evaluate(result, X)
+        assert type(value) is float
+        assert value == float(evaluate(result, [F(x) for x in X]))
+    assert evaluate(result, [F(1, 3), 0.5]) == float(evaluate(result, [F(1, 3), F(1, 2)]))
+    for bad in (math.inf, math.nan, "1"):
+        with pytest.raises(InvalidInput):
+            evaluate(result, [F(1), bad])
 
 
 def test_ambient_too_small():

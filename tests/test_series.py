@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 
-from newton_segre import TruncatedSeries
+from newton_segre import InvalidInput, TruncatedSeries
 
 
 def test_monomial_and_add():
@@ -25,20 +26,34 @@ def test_geometric_inverse_one_variable():
 
 
 def test_inverse_times_original_is_one():
-    f = TruncatedSeries.one_plus_linear(2, 5, (F(2), F(-3)))
+    f = TruncatedSeries.one_plus_linear(2, 5, (2, -3))
     product = f * f.inverse()
     assert product == TruncatedSeries.constant(2, 5, 1)
 
 
 def test_inverse_of_scaled_unit():
-    f = TruncatedSeries.constant(1, 3, 2) + TruncatedSeries.monomial(1, 3, (1,), 1)
+    f = TruncatedSeries.constant(1, 3, -1) + TruncatedSeries.monomial(1, 3, (1,), 2)
     inv = f.inverse()
+    assert [inv.coefficient((k,)) for k in range(4)] == [-1, -2, -4, -8]
     assert inv * f == TruncatedSeries.constant(1, 3, 1)
 
 
 def test_inverse_needs_unit():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(InvalidInput):
         TruncatedSeries.monomial(1, 3, (1,)).inverse()
+    with pytest.raises(InvalidInput):
+        (TruncatedSeries.constant(1, 3, 2) + TruncatedSeries.monomial(1, 3, (1,))).inverse()
+
+
+def test_coefficients_are_integers():
+    s = TruncatedSeries(2, 2, {(1, 0): 2, (0, 1): np.int64(3)})
+    assert s.coeffs == {(1, 0): 2, (0, 1): 3}
+    assert all(type(c) is int for c in s.coeffs.values())
+    for bad in (F(2), F(1, 2), 0.5, "1"):
+        with pytest.raises(InvalidInput):
+            TruncatedSeries(2, 2, {(1, 0): bad})
+        with pytest.raises(InvalidInput):
+            s * bad
 
 
 def test_pushforward_buckets_by_total_degree():
@@ -46,12 +61,6 @@ def test_pushforward_buckets_by_total_degree():
          + TruncatedSeries.monomial(2, 3, (0, 1), 3)
          + TruncatedSeries.monomial(2, 3, (1, 1), -4))
     assert s.pushforward(3) == (F(5), F(-4), F(0))
-
-
-def test_evaluate_exact_and_float():
-    s = TruncatedSeries.one_plus_linear(2, 2, (1, 2))
-    assert s.evaluate((F(1, 2), F(1, 3))) == F(1) + F(1, 2) + F(2, 3)
-    assert s.evaluate((0.5, 0.25)) == pytest.approx(2.0)
 
 
 def test_product_against_sympy():
