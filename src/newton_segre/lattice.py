@@ -42,9 +42,10 @@ that exact mode enumerates, up to float rounding.
 
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
-(EstimateTooLarge) when its integer denominators would leave int64. Like
-kernel_term, the lct_based mode sums exactly from the rational value of
-every X_i and converts to float only at return, in float64 mode.
+(EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
+integer denominators would leave int64. Like kernel_term, the lct_based
+mode sums exactly from the rational value of every X_i and converts to
+float only at return, in float64 mode.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
@@ -339,6 +340,11 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
+    points = math.prod(limits)
+    if points > MAX_COLUMNS:
+        raise EstimateTooLarge(
+            f"exact estimate enumerates {points} lattice points, above the limit "
+            f"of {MAX_COLUMNS}; lower m or ray_cutoff")
     largest = L * m + sum(x * limit for x, limit in zip(lx, limits))
     if largest > _INT64_MAX:
         raise EstimateTooLarge(

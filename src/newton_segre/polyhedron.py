@@ -15,10 +15,11 @@ depend on tolerances. The facets are found once, by cone_facets on the
 homogenization; their incidences (the extreme points v with
 f.value(v) == f.offset) are the face lattice that decompose triangulates.
 
-A generator is extreme iff the membership LP (simplex.feasible) puts it
-outside conv(other generators) + orthant. contains_lp asks the same LP about
-a point over the extreme points; it never reads the facets, so it checks
-the facet route of contains independently.
+A generator is extreme iff simplex.feasible puts it outside
+conv(other generators) + orthant: the packing LP max sum lambda_j subject to
+sum_j lambda_j u_j <= v over the other generators u stays below 1.
+contains_lp asks the same LP about a point over the extreme points; it never
+reads the facets, so it checks the facet route of contains independently.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def contains(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> bool:
 
 
 def contains_lp(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> bool:
-    """Same membership decided by LP: point in conv(extreme points) + orthant.
+    """Same membership decided by the packing LP over the extreme points.
 
     Kept alongside the facet route on purpose; the two must agree and the
     test suite checks that they do.

@@ -1,23 +1,19 @@
-"""Exact simplex for the two hull LPs of a Newton polyhedron.
+"""Exact simplex for the one hull LP of a Newton polyhedron, a packing LP.
 
-For a finite set V of non-negative integer points, P = conv(V) + R^n_{>=0}.
-The package asks an LP two questions about P, both over lambda >= 0 with
-the convexity row sum_j lambda_j = 1:
-
-* membership of a point p: sum_j lambda_j v_j <= p, phase 1 only;
-* the diagonal exit min { s >= 0 : s*(1,...,1) in P }: the same rows with a
-  leading -s column and right-hand side 0, then phase 2 on s.
-
-Each coordinate row starts with its slack basic, and the convexity row
-carries the one artificial variable. A target with a negative coordinate is
-infeasible without a tableau, because every v_j >= 0.
+For non-zero, non-negative integer points V and P = conv(V) + R^n_{>=0},
+every LP question about P is max sum_j lambda_j subject to
+sum_j lambda_j v_j <= p, lambda >= 0, for a target p >= 0. With
+p = (1,...,1) the optimum is 1/sigma, sigma the diagonal exit
+min { s >= 0 : s*(1,...,1) in P } (by LP duality, the lct). p lies in P
+exactly when the optimum is at least 1: the optimal lambda scaled to sum 1
+is a convex combination below p. As p >= 0 the slack basis is a feasible
+start, and as no v_j is zero the optimum is finite.
 
 The tableau is dense over fractions.Fraction. Pivots follow Bland's rule:
 the entering column is the first with a negative reduced cost, and ties in
-the ratio test go to the smallest basic index. Both LPs are degenerate (the
-diagonal one has right-hand side 0), and Bland's rule rules out cycling, so
-every solve terminates and takes the same pivots on every run. Fraction
-stays until the integer-preserving tableau of ROADMAP item 2 replaces it.
+the ratio test go to the smallest basic index. The LP can be degenerate
+(ties in the ratio test), and Bland's rule rules out cycling, so every
+solve terminates and takes the same pivots on every run.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, InvalidInput
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -40,66 +36,40 @@ def _pivot(T: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
     basis[r] = c
 
 
-def _minimize(T: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> None:
-    """Bland's-rule minimization of cost . x; mutates T and basis."""
-    z = cost + [_ZERO]
-    for r, b in enumerate(basis):
-        if z[b] != 0:
-            f = z[b]
-            z = [a - f * t for a, t in zip(z, T[r])]
+def solve_lp(points: Sequence[Sequence[int]],
+             target: Sequence[Fraction | int] | None = None) -> Fraction:
+    """max sum lambda_j subject to sum_j lambda_j v_j <= target, lambda >= 0.
+
+    The default target (1,...,1) gives 1 / diagonal exit. A negative target
+    coordinate or a zero point raises InvalidInput: the slack basis would be
+    infeasible or the LP unbounded."""
+    n = len(points[0])
+    p = (1,) * n if target is None else target
+    if any(x < 0 for x in p):
+        raise InvalidInput(f"packing LP target {tuple(p)} has a negative coordinate")
+    if not all(any(v) for v in points):
+        raise InvalidInput("packing LP over a zero point is unbounded")
+    k = len(points)
+    # columns: lambda_1..lambda_k | slack_1..slack_n | rhs
+    T = [[Fraction(v[i]) for v in points]
+         + [_ONE if j == i else _ZERO for j in range(n)] + [Fraction(p[i])] for i in range(n)]
+    basis = list(range(k, k + n))
+    # reduced costs of min -sum lambda; the last entry is the objective sum lambda
+    z = [-_ONE] * k + [_ZERO] * (n + 1)
     while True:
-        entering = next((c for c in range(len(cost)) if z[c] < 0), None)
+        entering = next((c for c in range(k + n) if z[c] < 0), None)
         if entering is None:
-            return
+            return z[-1]
         ratios = [(row[-1] / row[entering], basis[r], r)
                   for r, row in enumerate(T) if row[entering] > 0]
         if not ratios:
-            raise InternalInconsistency("hull LP is bounded below by zero, yet unbounded")
+            raise InternalInconsistency("packing LP over non-zero points is unbounded")
         _, _, leaving = min(ratios)
         f = z[entering]
         _pivot(T, basis, leaving, entering)
         z = [a - f * t for a, t in zip(z, T[leaving])]
 
 
-def solve_lp(points: Sequence[Sequence[int]],
-             target: Sequence[Fraction | int] | None = None) -> Fraction | None:
-    """Optimum of a hull LP over the non-empty point list, None if infeasible.
-
-    Without a target this is the diagonal exit of conv(points) + orthant.
-    With a target p the rows are sum lambda_j v_j <= p with no s column, so
-    the optimum is 0 exactly when p lies in the polyhedron.
-    """
-    if target is not None and any(x < 0 for x in target):
-        return None
-    n = len(points[0])
-    s_col = [-_ONE] if target is None else []
-    rhs = (0,) * n if target is None else target
-    # columns: [-s] | lambda_1..lambda_k | slack_1..slack_n | artificial | rhs
-    T = [s_col + [Fraction(v[i]) for v in points]
-         + [_ONE if j == i else _ZERO for j in range(n)] + [_ZERO, Fraction(rhs[i])]
-         for i in range(n)]
-    T.append([_ZERO] * len(s_col) + [_ONE] * len(points) + [_ZERO] * n + [_ONE, _ONE])
-    art = len(T[0]) - 2
-    basis = list(range(art - n, art)) + [art]
-
-    _minimize(T, basis, [_ZERO] * art + [_ONE])
-    if art in basis and T[basis.index(art)][-1] != 0:
-        return None
-    if target is not None:
-        return _ZERO
-    if art in basis:
-        # A zero-valued artificial leaves the basis, so that its column can
-        # be dropped before phase 2. Its row always has a nonzero entry
-        # outside that column: the convexity row is no combination of the
-        # slack rows.
-        r = basis.index(art)
-        _pivot(T, basis, r, next(c for c in range(art) if T[r][c] != 0))
-    for row in T:
-        del row[art]
-    _minimize(T, basis, [_ONE] + [_ZERO] * (art - 1))
-    return next((row[-1] for row, b in zip(T, basis) if b == 0), _ZERO)
-
-
 def feasible(points: Sequence[Sequence[int]], target: Sequence[Fraction | int]) -> bool:
-    """target in conv(points) + orthant, decided by phase 1 of the membership LP."""
-    return solve_lp(points, target) is not None
+    """target in conv(points) + orthant: target >= 0 and the packing LP reaches 1."""
+    return all(x >= 0 for x in target) and solve_lp(points, target) >= 1

@@ -242,6 +242,9 @@ def test_estimate_requires_m(capsys):
     (["segre", "x1"], "InvalidInput"),
     (["lct", "x1", "--bogus"], "InvalidInput"),
     ([], "InvalidInput"),
+    # exact mode would enumerate 640^3 lattice points, above 2^22
+    (["estimate", "x1*x2*x3", "--m", "8", "--X", "1,1,1", "--arith", "exact"],
+     "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args

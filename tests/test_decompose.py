@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton_segre import (TruncatedSeries, cone_decomposition, in_newton_region,
                           integrate_piece, make_ideal, make_piece,
@@ -165,3 +167,30 @@ def test_triangulation_invariance(rng):
             for piece in other_pieces:
                 total = total + integrate_piece(piece, ideal.n, bound)
             assert total == base
+
+
+@st.composite
+def _polyhedra_and_orders(draw):
+    n = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):  # m-primary: a pure power of every variable
+        gens += [tuple(draw(st.integers(1, 5)) * (i == j) for i in range(n))
+                 for j in range(n)]
+    poly = newton_polyhedron(make_ideal(n, [g for g in gens if any(g)] or [(1,) * n]))
+    return poly, draw(st.permutations(poly.extreme_points))
+
+
+@settings(max_examples=150)
+@given(_polyhedra_and_orders())
+def test_segre_series_ignores_vertex_order(case):
+    """Any insertion order of the extreme points gives the default-order series."""
+    poly, order = case
+    bound = poly.n + 2
+
+    def series(pieces):
+        total = TruncatedSeries.zero(poly.n, bound)
+        for piece in pieces:
+            total = total + integrate_piece(piece, poly.n, bound)
+        return total
+
+    assert series(cone_decomposition(poly, order)) == series(cone_decomposition(poly))

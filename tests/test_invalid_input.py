@@ -4,7 +4,7 @@ import pytest
 
 from newton_segre import (EstimatorConfig, GeneralizedSimplex, InvalidInput,
                           TruncatedSeries, bernoulli, convergence_report, estimate,
-                          evaluate, make_ideal, make_piece, polygamma,
+                          evaluate, make_ideal, make_piece, polygamma, solve_lp,
                           verify_two_variable_identity)
 from newton_segre.decompose import piece_membership
 from newton_segre.linalg import det
@@ -27,10 +27,13 @@ _SERIES = TruncatedSeries(2, 3)
     lambda: estimate(make_ideal(3, [(1, 1, 0), (0, 0, 1)]), EstimatorConfig(10, (1, 1))),
     lambda: convergence_report(make_ideal(2, [(1, 1)]), (1,), [10, 20]),
     lambda: verify_two_variable_identity(2, 0.5, 0.5, 10, tolerance=0.0),
+    lambda: solve_lp([(1, 0), (0, 1)], (1, F(-1, 2))),
+    lambda: solve_lp([(0, 0), (1, 1)]),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
         "series-exponent-arity", "series-mismatch", "piece-point-arity",
-        "estimate-X-length", "convergence-X-length", "identity-tolerance"])
+        "estimate-X-length", "convergence-X-length", "identity-tolerance",
+        "solve_lp-negative-target", "solve_lp-zero-point"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):

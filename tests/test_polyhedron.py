@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from newton_segre import (NegativeCoordinate, contains, contains_lp,
+from newton_segre import (NegativeCoordinate, contains, contains_lp, diagonal_exit,
                           in_newton_region, make_ideal, newton_polyhedron,
-                          polyhedron_to_json, stretch)
+                          polyhedron_to_json, solve_lp, stretch)
 from tests.conftest import random_ideal, random_rational
 
 
@@ -93,6 +96,49 @@ def test_facet_and_lp_membership_agree(rng):
             point = tuple(random_rational(rng) for _ in range(ideal.n))
             assert contains(poly, point) == contains_lp(poly, point)
             checked += 1
+
+
+@st.composite
+def _ideals(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6))
+    if draw(st.booleans()):  # m-primary: a pure power of every variable
+        gens += [tuple(draw(st.integers(1, 6)) * (i == j) for i in range(n))
+                 for j in range(n)]
+    return make_ideal(n, [g for g in gens if any(g)] or [(1,) * n])
+
+
+def _boundary_points(poly):
+    """Generators, the diagonal exit point and midpoints of extreme points
+    sharing a diagram facet: points on the boundary of the polyhedron."""
+    sigma = max(F(f.offset, sum(f.normal)) for f in poly.diagram_facets)
+    points = [tuple(F(x) for x in v) for v in poly.extreme_points]
+    points.append((sigma,) * poly.n)
+    for f in poly.diagram_facets:
+        on_facet = [v for v in poly.extreme_points if f.value(v) == f.offset]
+        points += [tuple(F(a + b, 2) for a, b in zip(u, v))
+                   for u, v in combinations(on_facet, 2)]
+    return sigma, points
+
+
+@settings(max_examples=150)
+@given(_ideals(), st.data())
+def test_lp_and_facet_membership_agree_near_the_boundary(ideal, data):
+    """The packing LP and the facet inequalities decide membership alike on
+    boundary points and on points 1/97 off them, and the LP's diagonal exit
+    is the facets' one."""
+    poly = newton_polyhedron(ideal)
+    sigma, points = _boundary_points(poly)
+    assert 1 / solve_lp(poly.extreme_points) == sigma == diagonal_exit(poly)
+    step = F(1, 97)
+    for p in points:
+        axis = data.draw(st.integers(0, poly.n - 1))
+        moves = [(0,) * poly.n, (step,) * poly.n, (-step,) * poly.n,
+                 tuple(step * (i == axis) for i in range(poly.n)),
+                 tuple(-step * (i == axis) for i in range(poly.n))]
+        for move in moves:
+            q = tuple(a + b for a, b in zip(p, move))
+            assert contains(poly, q) == contains_lp(poly, q), q
 
 
 def test_stretch_compatibility(rng):

@@ -9,29 +9,28 @@ from scipy.optimize import linprog
 from newton_segre import feasible, solve_lp
 
 
-def scipy_exit(points, target):
-    """Float oracle: min s >= 0 with target + s*(1,...,1) in conv(points) + orthant."""
+def scipy_packing(points, target):
+    """Float oracle: max sum lambda_j subject to sum_j lambda_j v_j <= target."""
     n, k = len(target), len(points)
-    A_ub = [[-1] + [v[i] for v in points] for i in range(n)]
-    ref = linprog(c=[1] + [0] * k, A_ub=A_ub, b_ub=[float(x) for x in target],
-                  A_eq=[[0] + [1] * k], b_eq=[1], bounds=[(0, None)] * (k + 1),
+    ref = linprog(c=[-1] * k, A_ub=[[v[i] for v in points] for i in range(n)],
+                  b_ub=[float(x) for x in target], bounds=[(0, None)] * k,
                   method="highs")
     assert ref.success
-    return ref.fun
+    return -ref.fun
 
 
 def test_symmetric_two_point_problem():
-    # s >= max(3 - 2 lam, 1 + 2 lam) is smallest at lam = 1/2
-    assert solve_lp([(1, 3), (3, 1)]) == 2
+    # the diagonal exit s >= max(3 - 2 lam, 1 + 2 lam) is smallest at s = 2
+    assert solve_lp([(1, 3), (3, 1)]) == F(1, 2)
 
 
 def test_diagonal_exit_of_maximal_ideal():
-    assert solve_lp([(1, 0), (0, 1)]) == F(1, 2)
+    assert solve_lp([(1, 0), (0, 1)]) == 2
 
 
 def test_diagonal_exit_of_pure_powers():
     # (x1^2, x2^3): the diagonal meets the segment at s = 6/5
-    assert solve_lp([(2, 0), (0, 3)]) == F(6, 5)
+    assert solve_lp([(2, 0), (0, 3)]) == F(5, 6)
 
 
 def test_feasibility_helper():
@@ -40,32 +39,34 @@ def test_feasibility_helper():
     assert feasible(points, (F(6, 5), F(6, 5)))  # on the diagram
     assert feasible(points, (5, F(1, 3)))
     assert not feasible(points, (1, 1))
-    assert solve_lp(points, (2, 0)) == 0
+    assert solve_lp(points, (2, 0)) == 1
+    assert solve_lp(points, (F(6, 5), F(6, 5))) == 1
 
 
 def test_infeasible_system():
     assert not feasible([(1, 0), (0, 1)], (F(1, 4), F(1, 4)))
-    assert solve_lp([(1, 0), (0, 1)], (F(1, 4), F(1, 4))) is None
+    assert solve_lp([(1, 0), (0, 1)], (F(1, 4), F(1, 4))) == F(1, 2)
 
 
 def test_negative_target_is_infeasible():
     # every point is non-negative, so no combination lies below a negative coordinate
     assert not feasible([(1, 0), (0, 1)], (-1, 5))
     assert not feasible([(0, 0, 1)], (4, 4, F(-1, 2)))
-    assert solve_lp([(1, 0), (0, 1)], (5, -1)) is None
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_random_lps_match_scipy(seed):
-    """Exact hull LPs on seeded point sets up to 5-D with 8 points match highs."""
+    """Exact packing LPs on seeded point sets up to 5-D with 8 points match highs."""
     rng = random.Random(seed)
     n = rng.randint(1, 5)
     points = [tuple(rng.randint(0, 9) for _ in range(n)) for _ in range(rng.randint(1, 8))]
     points = [v for v in points if any(v)] or [(1,) * n]
-    assert abs(float(solve_lp(points)) - scipy_exit(points, (0,) * n)) < 1e-9
+    assert abs(float(solve_lp(points)) - scipy_packing(points, (1,) * n)) < 1e-9
     for _ in range(5):
         target = tuple(F(rng.randint(0, 30), rng.randint(1, 3)) for _ in range(n))
-        assert feasible(points, target) == (scipy_exit(points, target) < 1e-9)
+        optimum = scipy_packing(points, target)
+        assert abs(float(solve_lp(points, target)) - optimum) < 1e-9
+        assert feasible(points, target) == (optimum > 1 - 1e-9)
 
 
 @st.composite
@@ -82,5 +83,6 @@ def hull_problems(draw):
 def test_hull_lps_match_scipy(problem):
     points, target = problem
     n = len(target)
-    assert abs(float(solve_lp(points)) - scipy_exit(points, (0,) * n)) < 1e-9
-    assert feasible(points, target) == (scipy_exit(points, target) < 1e-9)
+    assert abs(float(solve_lp(points)) - scipy_packing(points, (1,) * n)) < 1e-9
+    inside = all(x >= 0 for x in target) and scipy_packing(points, target) > 1 - 1e-9
+    assert feasible(points, target) == inside
