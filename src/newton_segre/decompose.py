@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .cones import pull_triangulation
@@ -65,9 +66,20 @@ class GeneralizedSimplex:
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.n)]
 
 
+def _coordinate(x: Rational) -> Fraction | int:
+    """x as an int when it is integral, else as a Fraction."""
+    if not isinstance(x, Rational):
+        raise InvalidInput(f"piece vertex coordinates are rationals, got {x!r}")
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def make_piece(finite_vertices: Sequence[Sequence[Fraction | int]],
                ray_axes: Sequence[int]) -> GeneralizedSimplex:
-    vertices = tuple(tuple(v) for v in finite_vertices)
+    """The piece with its integral vertex coordinates stored as ints, so
+    equal pieces compare and expand alike whatever types built them."""
+    vertices = tuple(tuple(x if type(x) is int else _coordinate(x) for x in v)
+                     for v in finite_vertices)
     rays = frozenset(int(k) for k in ray_axes)
     n = len(vertices[0])
     if len(vertices) - 1 + len(rays) != n:
@@ -93,6 +105,9 @@ def cone_decomposition(poly: NewtonPolyhedron,
         priority = {v: v for v in poly.extreme_points}
     else:
         order = [tuple(v) for v in vertex_order]
+        missing = [v for v in poly.extreme_points if v not in order]
+        if missing:
+            raise InvalidInput(f"vertex_order misses the extreme points {missing}")
         priority = {v: (order.index(v),) for v in poly.extreme_points}
 
     origin = (0,) * n

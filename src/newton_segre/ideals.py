@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InvalidInput, ParseError, ZeroGenerator
@@ -42,6 +43,18 @@ def _dominates(a: ExponentVector, b: ExponentVector) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; InvalidInput for a bool or any value that
+    is not an integer type (a float or a string is refused, not truncated)."""
+    try:
+        values = list(values)
+        if bool not in map(type, values):
+            return tuple(map(index, values))
+    except TypeError:
+        pass
+    raise InvalidInput(f"{what} must be integers, got {values!r}")
+
+
 def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Build a proper monomial ideal, dropping dominated generators.
 
@@ -52,10 +65,7 @@ def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal
         raise DimensionMismatch(f"need at least one variable, got n={n}")
     gens: set[ExponentVector] = set()
     for raw in raw_generators:
-        try:
-            vec = tuple(int(e) for e in raw)
-        except (TypeError, ValueError):
-            raise InvalidInput(f"generator {raw!r} is not a list of integer exponents") from None
+        vec = _integers(raw, "generator exponents")
         if len(vec) != n:
             raise DimensionMismatch(f"generator {vec} has length {len(vec)}, expected {n}")
         if any(e < 0 for e in vec):
@@ -74,7 +84,7 @@ def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal
 
 def stretch(ideal: MonomialIdeal, factors: Sequence[int]) -> MonomialIdeal:
     """Extension of the ideal under x_i -> x_i**r_i: exponents scale by r_i."""
-    r = tuple(int(f) for f in factors)
+    r = _integers(factors, "stretch factors")
     if len(r) != ideal.n:
         raise DimensionMismatch(f"stretch factors {r} have length {len(r)}, expected {ideal.n}")
     if any(f < 1 for f in r):

@@ -43,9 +43,11 @@ that exact mode enumerates, up to float rounding.
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
 (EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
-integer denominators would leave int64. Like kernel_term, the lct_based
-mode sums exactly from the rational value of every X_i and converts to
-float only at return, in float64 mode.
+integer denominators would leave int64. Below that it enumerates the box in
+blocks of about 2^13 points split along its longest axis, so its memory
+grows only with the number of distinct denominators. Like kernel_term, the
+lct_based mode sums exactly from the rational value of every X_i and
+converts to float only at return, in float64 mode.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
@@ -78,9 +80,6 @@ MEMBERSHIP = "membership_based"
 LCT_BASED = "lct_based"
 EXACT = "exact_rational"
 FLOAT64 = "float64"
-
-# Lattice points per slab of the exact-mode enumeration.
-_SLAB = 1 << 20
 
 
 @dataclass
@@ -333,9 +332,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [Fraction(x) for x in cfg.X]
-    L = 1
-    for x in xs:
-        L = L * x.denominator // math.gcd(L, x.denominator)
+    L = math.lcm(*(x.denominator for x in xs))
     lx = [int(x * L) for x in xs]
     _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
@@ -351,18 +348,15 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
             f"exact estimate needs denominator values up to {largest}, beyond "
             f"the int64 limit {_INT64_MAX}")
 
-    rest = math.prod(limits[1:]) if n > 1 else 1
-    slab_rows = max(1, _SLAB // max(rest, 1))
+    # the box split along its longest axis into blocks of about _CHUNK points
+    s = limits.index(max(limits))
     counts: dict[int, int] = {}
-    for start in range(1, limits[0] + 1, slab_rows):
-        stop = min(start + slab_rows - 1, limits[0])
-        axes = [np.arange(start, stop + 1, dtype=np.int64)]
-        axes += [np.arange(1, limits[i] + 1, dtype=np.int64) for i in range(1, n)]
-        grids = np.meshgrid(*axes, indexing="ij")
+    for first, last in _blocks(1, limits[s] + 1, points // limits[s]):
+        grids = np.meshgrid(*(np.arange(first, last, dtype=np.int64) if i == s else
+                              np.arange(1, limit + 1, dtype=np.int64)
+                              for i, limit in enumerate(limits)), indexing="ij")
         mask = _member_mask(W, C, m, grids)
-        k = np.full(grids[0].shape, L * m, dtype=np.int64)
-        for axis, g in enumerate(grids):
-            k = k + lx[axis] * g
+        k = L * m + sum(x * g for x, g in zip(lx, grids))
         values, reps = np.unique(k[mask], return_counts=True)
         for v, c in zip(values.tolist(), reps.tolist()):
             counts[v] = counts.get(v, 0) + c
@@ -426,60 +420,17 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 # membership-mode vs lct-mode agreement
 # ---------------------------------------------------------------------------
 
-def _lct_threshold(ideal: MonomialIdeal, m: int, outer: tuple[int, ...], b1: int,
-                   guess: int, counter: list[int]) -> int:
-    """Largest a1 <= b1 with (a1, *outer) passing the threshold-side test.
-
-    The predicate is down-closed in a1 (scaling a point outward along an
-    axis can only leave the region), so a bracketed search is sound. Starts
-    from the previous column's threshold, which makes consecutive columns
-    cheap.
-    """
-    def pred(a1: int) -> bool:
-        if a1 < 1:
-            return True
-        if a1 > b1:
-            return False
-        counter[0] += 1
-        return region_condition_via_lct(ideal, (a1,) + outer, m)
-
-    lo = min(max(guess, 0), b1)
-    if pred(lo):
-        step = 1
-        hi = lo + 1
-        while pred(hi):
-            lo = hi
-            step *= 2
-            hi = min(hi + step, b1 + 1)
-            if lo == b1:
-                return b1
-    else:
-        step = 1
-        hi = lo
-        lo = max(hi - 1, 0)
-        while not pred(lo):
-            hi = lo
-            step *= 2
-            lo = max(lo - step, 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def mode_agreement_report(ideal: MonomialIdeal, m: int,
                           scan_cutoff: int | None = None) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
     Both sets are down-closed, so each column along axis 0 (the other
     coordinates fixed) meets them in intervals [1, T]. Per column the
-    membership top from the facet inequalities is compared against a
-    bracketed search for the lct top; mismatched points are classified as
-    interior (all a_i > 1) or edge (some a_i = 1). Additionally spot-checks
-    50 random points (seed 0) through both literal pipelines.
+    membership top t from the facet inequalities is the lct top exactly when
+    the threshold-side test holds at a1 = t and fails at t + 1; only when it
+    does not is the lct top bisected for. Mismatched points are classified
+    as interior (all a_i > 1) or edge (some a_i = 1). Additionally
+    spot-checks 50 random points (seed 0) through both literal pipelines.
     """
     import numpy as np
     import random
@@ -496,10 +447,26 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
     outer = [None] + [np.array(c, dtype=np.int64) for c in zip(*columns)]
     tops = np.broadcast_to(_column_tops(W, C, m, 0, outer, 1, b1), (len(columns),))
-    guess = b1
+
+    def holds(a1: int, rest: tuple[int, ...]) -> bool:
+        """The threshold-side test at (a1, *rest); True below the box."""
+        if not 1 <= a1 <= b1:
+            return a1 < 1
+        counter[0] += 1
+        return region_condition_via_lct(ideal, (a1,) + rest, m)
+
     for rest, t_mem in zip(columns, tops.tolist()):
-        t_lct = _lct_threshold(ideal, m, rest, b1, guess, counter)
-        guess = t_lct
+        # the lct top lies in [lo, hi): holds at lo, fails at hi
+        if not holds(t_mem, rest):
+            lo, hi = 0, t_mem
+        elif holds(t_mem + 1, rest):
+            lo, hi = t_mem + 1, b1 + 1
+        else:
+            lo, hi = t_mem, t_mem + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if holds(mid, rest) else (lo, mid)
+        t_lct = lo
         if t_mem != t_lct:
             lo, hi = sorted((t_mem, t_lct))
             for a1 in range(lo + 1, hi + 1):

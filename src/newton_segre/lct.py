@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
-from .ideals import MonomialIdeal, stretch
+from .ideals import MonomialIdeal, _integers, stretch
 from .polyhedron import NewtonPolyhedron, newton_polyhedron
 from .simplex import solve_lp
 
@@ -50,7 +50,7 @@ def cross_stretch_factors(direction: Sequence[int]) -> tuple[int, ...]:
 
 
 def _validated(ideal: MonomialIdeal, direction: Sequence[int], m: int) -> tuple[int, ...]:
-    a = tuple(int(x) for x in direction)
+    a = _integers(direction, "direction entries")
     if len(a) != ideal.n:
         raise InvalidInput(f"direction {a} has length {len(a)}, expected {ideal.n}")
     if any(x < 1 for x in a):

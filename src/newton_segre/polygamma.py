@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 # numpy is imported inside the functions that use it, so the exact-geometry
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
@@ -121,15 +122,18 @@ def _horner_coefficients(r: int) -> tuple[float, ...]:
 def polygamma(r: int, x):
     """psi_r at positive real x (scalar or array), in float64.
 
-    Raises NonPositiveArgument off the domain and PrecisionUnreachable for
-    orders above 38.
+    Raises InvalidInput for an order that is not an integer >= 1 or a nan
+    argument, NonPositiveArgument off the domain and PrecisionUnreachable
+    for orders above 38.
     """
     import numpy as np
-    if r < 1:
-        raise InvalidInput("polygamma order must be >= 1")
+    if not isinstance(r, Integral) or r < 1:
+        raise InvalidInput(f"polygamma order must be an integer >= 1, got {r!r}")
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     shifted = np.atleast_1d(arr).astype(np.float64)  # a copy the kernel works in
+    if np.any(np.isnan(shifted)):
+        raise InvalidInput("polygamma argument is nan")
     if np.any(shifted <= 0):
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
 
@@ -246,7 +250,7 @@ def _identity_floats(name: str, start: int, m: int, X1, X2) -> tuple[float, floa
         scale = m * X1 / (X2 * X2)
     except (OverflowError, ZeroDivisionError):
         scale = math.inf
-    if not math.isfinite(scale):
+    if not all(map(math.isfinite, (X1, X2, scale))):
         raise InvalidInput(f"{name} identity needs X1, X2 and m*X1/X2^2 inside the "
                            "float64 range")
     return X1, X2, scale

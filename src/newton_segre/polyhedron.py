@@ -30,7 +30,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cones import cone_facets
-from .errors import DimensionMismatch, InternalInconsistency, NegativeCoordinate
+from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
+                     NegativeCoordinate)
 from .ideals import ExponentVector, MonomialIdeal
 from .linalg import dot
 from .simplex import feasible
@@ -108,7 +109,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 
 def _check_point(n: int, point: Sequence[Fraction | int]) -> RationalPoint:
-    p = tuple(Fraction(x) for x in point)
+    try:
+        p = tuple(Fraction(x) for x in point)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"point coordinates must be finite rationals: {point!r}") from None
     if len(p) != n:
         raise DimensionMismatch(f"point has {len(p)} coordinates, expected {n}")
     return p

@@ -15,9 +15,9 @@ trusted.
 
 Every factor of that product has integer coefficients (the vertices are
 generators, the jacobian an integer determinant), so the expansions run on
-integer series. Each vertex is shared by many pieces; its factor
-1 / (1 + v . X) is expanded once per (nvars, degree bound, vertex) and
-reused.
+integer series. A piece is expanded by dividing jacobian * X^e by each
+linear form 1 + v_k . X in turn, one total degree at a time: O(terms * n)
+per vertex, with no inverse series built, multiplied or cached.
 
 Summing the expansions over a cone decomposition of the region gives the
 multivariate class; substituting every X_i by the hyperplane class H and
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational, Real
 from typing import Sequence
 
@@ -55,13 +54,6 @@ class SegreClassResult:
         return [str(c) for c in self.pushforward]
 
 
-@lru_cache(maxsize=1024)
-def _vertex_factor(nvars: int, degree_bound: int,
-                   vertex: tuple[int, ...]) -> TruncatedSeries:
-    """1 / (1 + vertex . X) as a truncated series; callers must not mutate it."""
-    return TruncatedSeries.one_plus_linear(nvars, degree_bound, vertex).inverse()
-
-
 def integrate_piece(piece: GeneralizedSimplex, nvars: int,
                     degree_bound: int) -> TruncatedSeries:
     """Series expansion of the kernel integral over one generalized simplex."""
@@ -69,7 +61,7 @@ def integrate_piece(piece: GeneralizedSimplex, nvars: int,
     series = TruncatedSeries.monomial(nvars, degree_bound, exponent, piece.jacobian)
     for vertex in piece.finite_vertices:
         if any(vertex):
-            series = series * _vertex_factor(nvars, degree_bound, vertex)
+            series = series / TruncatedSeries.one_plus_linear(nvars, degree_bound, vertex)
     return series
 
 

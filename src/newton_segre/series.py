@@ -5,9 +5,11 @@ ring is Z[X_1..X_n] / (total degree > D). Every series the Segre class
 builds has integer coefficients (its vertices are generators and its
 jacobians integer determinants), so coefficients are plain ints and anything
 else is refused with InvalidInput. A product visits only the pairs of terms
-whose degrees fit under the bound. Inversion is geometric expansion and is
-defined for series whose constant term is a unit of Z, 1 or -1; in this
-package only factors (1 + v.X) are ever inverted.
+whose degrees fit under the bound. Division by a series whose constant term
+is a unit of Z, 1 or -1, solves for the quotient one total degree at a time;
+inverse() is 1 / self. The Segre class divides by the linear forms (1 + v.X)
+directly; the series product and inverse() stay for other callers and for
+the benchmark's per-layer counters, which name them.
 """
 
 from __future__ import annotations
@@ -94,13 +96,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.degree_bound,
-                               {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
-        return self + (-other if isinstance(other, TruncatedSeries) else -_integer(other))
-
     def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             f = _integer(other)
@@ -120,24 +115,36 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TruncatedSeries":
-        """Geometric-series inverse; the constant term must be 1 or -1."""
-        c0 = self.coeffs.get((0,) * self.nvars, 0)
+    def __truediv__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
+        """The quotient q with q * other == self; other's constant term c0
+        must be 1 or -1. Splitting every series by total degree,
+        q_d = c0 * (self_d - sum_{k>=1} other_k * q_(d-k)), since c0 is its
+        own inverse."""
+        if not isinstance(other, TruncatedSeries):
+            other = TruncatedSeries.constant(self.nvars, self.degree_bound, other)
+        self._compatible(other)
+        c0 = other.coefficient((0,) * self.nvars)
         if c0 not in (1, -1):
             raise InvalidInput(
-                f"series with constant term {c0} has no inverse over the integers")
-        # a unit is its own inverse, so self = c0 * (1 + u)
-        u = (self * c0) - 1  # strictly positive valuation
-        result = TruncatedSeries.constant(self.nvars, self.degree_bound, 1)
-        power = TruncatedSeries.constant(self.nvars, self.degree_bound, 1)
-        sign = 1
-        for _ in range(self.degree_bound):
-            power = power * u
-            sign = -sign
-            if not power.coeffs:
-                break
-            result = result + power * sign
-        return result * c0
+                f"series with constant term {c0} is not a unit over the integers")
+        rest = [(e, sum(e), c) for e, c in other.coeffs.items() if any(e)]
+        parts: list[dict[Exponent, int]] = [{} for _ in range(self.degree_bound + 1)]
+        for exp, c in self.coeffs.items():
+            parts[sum(exp)][exp] = c
+        for d, part in enumerate(parts):
+            get = part.get
+            for e1, k, c1 in rest:
+                if k <= d:
+                    for e2, c2 in parts[d - k].items():
+                        exp = tuple(map(add, e1, e2))
+                        part[exp] = get(exp, 0) - c1 * c2
+            parts[d] = {e: c0 * c for e, c in part.items() if c}
+        return TruncatedSeries(self.nvars, self.degree_bound,
+                               {e: c for part in parts for e, c in part.items()})
+
+    def inverse(self) -> "TruncatedSeries":
+        """1 / self; the constant term must be 1 or -1."""
+        return TruncatedSeries.constant(self.nvars, self.degree_bound, 1) / self
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, TruncatedSeries)

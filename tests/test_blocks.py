@@ -1,6 +1,7 @@
-"""Streaming in fixed-size blocks: the float lattice estimate and the two
-identity checks sum their columns one block at a time, so their values do
-not depend on the block size and their memory does not grow with the sum."""
+"""Streaming in fixed-size blocks: the float and exact lattice estimates and
+the two identity checks sum their columns or points one block at a time, so
+their values do not depend on the block size and their memory does not grow
+with the sum."""
 
 import importlib
 from fractions import Fraction as F
@@ -23,6 +24,11 @@ def float_estimate(gens, m, X, cutoff=None):
     return estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
 
 
+def exact_estimate(gens, m, X):
+    ideal = make_ideal(len(X), gens)
+    return estimate(ideal, EstimatorConfig(m=m, X=X, arithmetic="exact_rational"))
+
+
 # each sum spans many blocks of 7 and ends inside one; the float estimates
 # split their outer grids along the longest axis, in whole rows
 CASES = {
@@ -34,6 +40,8 @@ CASES = {
                                       (F(1, 2), F(1, 3), F(1, 5))),
     # x2 unbounded: a core cell and a tail cell along a2
     "tail": lambda: float_estimate([(2, 0), (1, 1)], 10, (F(1, 2), F(2, 3)), cutoff=250),
+    # exact mode enumerates the 82 x 123 box along its longest axis
+    "exact": lambda: exact_estimate([(2, 0), (1, 1), (0, 3)], 41, (F(1, 3), F(1, 2))),
     "two-var": lambda: verify_two_variable_identity(2, 1.0, 0.5, 5, tolerance=0.1),
     "diagonal": lambda: verify_diagonal_identity(2, 3, 1.0, 0.5, 5, tolerance=0.1),
 }
@@ -48,7 +56,10 @@ def test_block_size_does_not_change_sums(case, monkeypatch):
     default = values[-1]
     assert default != 0
     for value in values:
-        assert abs(value - default) <= 1e-13 * abs(default)
+        if isinstance(default, F):
+            assert value == default
+        else:
+            assert abs(value - default) <= 1e-13 * abs(default)
 
 
 def test_float_estimate_memory_is_bounded(monkeypatch):
@@ -60,6 +71,15 @@ def test_float_estimate_memory_is_bounded(monkeypatch):
         float_estimate(gens, 500, X)
     monkeypatch.undo()
     value, peak = traced_peak(float_estimate, gens, 500, X)
+    assert 0 < value < 1
+    assert peak < 2 * MiB
+
+
+def test_exact_estimate_memory_is_bounded():
+    gens, X = [(2, 0), (0, 2)], (F(1, 2), F(1, 3))
+    exact_estimate(gens, 20, X)  # imports and caches
+    # a 1000 x 1000 box: 10^6 lattice points
+    value, peak = traced_peak(exact_estimate, gens, 500, X)
     assert 0 < value < 1
     assert peak < 2 * MiB
 

@@ -245,6 +245,10 @@ def test_estimate_requires_m(capsys):
     # exact mode would enumerate 640^3 lattice points, above 2^22
     (["estimate", "x1*x2*x3", "--m", "8", "--X", "1,1,1", "--arith", "exact"],
      "EstimateTooLarge"),
+    # JSON exponents that are not integers are refused, not truncated
+    (["lct", '{"n":2,"generators":[[1.5,0],[0,2]]}'], "InvalidInput"),
+    (["lct", '{"n":2,"generators":[[true,0],[0,2]]}'], "InvalidInput"),
+    (["lct", '{"n":2,"generators":[["3",0],[0,2]]}'], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys):
     argv, error = args

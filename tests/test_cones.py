@@ -19,7 +19,6 @@ from newton_segre.cones import canonical_normal, cone_facets, pull_triangulation
 from newton_segre.decompose import make_piece
 from newton_segre.linalg import dot, kernel_basis, rref
 from newton_segre.polyhedron import newton_polyhedron
-from newton_segre.segre import _vertex_factor
 
 N6_EIGHT = make_ideal(6, [(0, 3, 1, 4, 2, 0), (1, 0, 2, 2, 4, 3), (2, 2, 0, 1, 3, 4),
                           (3, 1, 4, 0, 1, 2), (4, 4, 3, 2, 0, 1), (1, 2, 3, 4, 1, 0),
@@ -127,7 +126,6 @@ def test_one_facet_search_per_segre_class(monkeypatch):
              (N6_EIGHT, 6)]
     for ideal, ambient in cases:
         newton_polyhedron.cache_clear()
-        _vertex_factor.cache_clear()
         calls.clear()
         result = segre_class(ideal, ambient_dim=ambient)
         assert result.pieces

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newton_segre import (DimensionMismatch, ParseError, ZeroGenerator,
-                          make_ideal, monomial_str, parse_ideal,
-                          serialize_ideal, stretch)
+from newton_segre import (DimensionMismatch, InvalidInput, ParseError, ZeroGenerator,
+                          lct_condition, make_ideal, monomial_str, parse_ideal,
+                          region_condition_via_lct, serialize_ideal, stretch)
 from tests.conftest import random_ideal
 
 _IDEALS = st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -66,6 +66,21 @@ def test_stretch_preserves_minimality(rng):
         factors = tuple(rng.randint(1, 5) for _ in range(ideal.n))
         stretched = stretch(ideal, factors)
         assert len(stretched.generators) == len(ideal.generators)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: make_ideal(2, [(1.5, 0), (0, 2)]),
+    lambda: make_ideal(2, [(True, 0), (0, 2)]),
+    lambda: make_ideal(2, [("3", 0), (0, 2)]),
+    lambda: stretch(make_ideal(2, [(2, 1)]), (2.5, 1)),
+    lambda: stretch(make_ideal(2, [(2, 1)]), (True, 1)),
+    lambda: lct_condition(make_ideal(2, [(2, 1)]), (1.5, 2), 3),
+    lambda: region_condition_via_lct(make_ideal(2, [(2, 1)]), (2, True), 3),
+], ids=["exponent-float", "exponent-bool", "exponent-str", "stretch-float",
+        "stretch-bool", "direction-float", "direction-bool"])
+def test_non_integer_values_are_refused_not_truncated(call):
+    with pytest.raises(InvalidInput):
+        call()
 
 
 # ---- parsing --------------------------------------------------------------

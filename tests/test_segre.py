@@ -76,6 +76,15 @@ def test_orthant_normalization_for_principal_ideals(rng):
         assert total == TruncatedSeries.constant(n, bound, 1)
 
 
+def test_piece_vertices_are_canonical():
+    """An integral vertex given as Fractions is stored as ints, so the piece
+    expands the same as the one built from ints, whatever ran before."""
+    from_fractions = make_piece([(F(2), F(1))], [0, 1])
+    from_ints = make_piece([(2, 1)], [0, 1])
+    assert all(type(x) is int for x in from_fractions.finite_vertices[0])
+    assert integrate_piece(from_fractions, 2, 4) == integrate_piece(from_ints, 2, 4)
+
+
 def test_region_and_polyhedron_partition_unity():
     """The region pieces and a triangulation of the polyhedron itself must
     integrate to exactly 1 together: two different decompositions feeding

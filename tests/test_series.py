@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newton_segre import InvalidInput, TruncatedSeries
 
@@ -18,6 +20,52 @@ def test_truncation_drops_high_degree():
     x = TruncatedSeries.monomial(1, 2, (1,))
     cube = x * x * x
     assert cube.coeffs == {}
+
+
+def geometric_inverse(f):
+    """Oracle: 1 / f by geometric expansion. With f = c0 * (1 + u), c0 = +-1,
+    1 / f = c0 * sum_k (-u)^k, summed by repeated full series products."""
+    c0 = f.coefficient((0,) * f.nvars)
+    u = f * c0 + (-1)
+    result = TruncatedSeries.constant(f.nvars, f.degree_bound, 1)
+    power = TruncatedSeries.constant(f.nvars, f.degree_bound, 1)
+    sign = 1
+    for _ in range(f.degree_bound):
+        power = power * u
+        sign = -sign
+        if not power.coeffs:
+            break
+        result = result + power * sign
+    return result * c0
+
+
+@st.composite
+def units_and_dividends(draw):
+    """A unit f (constant term +-1) and a series s, in 1-3 variables with a
+    degree bound up to 6; terms drawn above the bound are dropped."""
+    nvars = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 6))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, bound)] * nvars),
+                            st.integers(-5, 5), max_size=8)
+    unit = {**draw(terms), (0,) * nvars: draw(st.sampled_from((1, -1)))}
+    return (TruncatedSeries(nvars, bound, unit),
+            TruncatedSeries(nvars, bound, draw(terms)))
+
+
+@given(units_and_dividends())
+def test_division_matches_geometric_oracle(case):
+    f, s = case
+    assert f.inverse() == geometric_inverse(f)
+    assert (s / f) * f == s
+
+
+def test_division_needs_a_compatible_unit():
+    s = TruncatedSeries.one_plus_linear(2, 3, (1, 2))
+    for bad in (TruncatedSeries.monomial(2, 3, (1, 0)), s * 2, 2,
+                TruncatedSeries.one_plus_linear(2, 4, (1, 2)),
+                TruncatedSeries.one_plus_linear(3, 3, (1, 2, 0))):
+        with pytest.raises(InvalidInput):
+            s / bad
 
 
 def test_geometric_inverse_one_variable():
