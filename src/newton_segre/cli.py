@@ -222,10 +222,13 @@ def _cmd_diagram(args) -> int:
     poly = newton_polyhedron(ideal)
     payload = polyhedron_to_json(poly)
     payload["ideal"] = serialize_ideal(ideal)
-    print(json.dumps(payload))
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_staircase_svg(poly))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(_staircase_svg(poly))
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.svg!r}: {exc.strerror}") from None
+    print(json.dumps(payload))
     return 0
 
 
@@ -260,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="lattice-sum estimator")
     add_ideal(p)
-    p.add_argument("--m", type=int, default=None, help="refinement parameter")
-    p.add_argument("--m-list", default=None,
+    m = p.add_mutually_exclusive_group(required=True)
+    m.add_argument("--m", type=int, default=None, help="refinement parameter")
+    m.add_argument("--m-list", default=None,
                    help="comma-separated m values; prints a convergence CSV")
     p.add_argument("--X", required=True, help="comma-separated positive rationals")
     p.add_argument("--mode", default="membership", help="membership or lct")
@@ -290,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "estimate" and args.m is None and args.m_list is None:
-            raise InvalidInput("estimate needs --m or --m-list")
         return args.func(args)
     except NewtonSegreError as exc:
         sys.stderr.write(json.dumps(

@@ -6,7 +6,8 @@ the facets of a full-dimensional pointed cone by exhaustive search over
 this package targets (Newton polyhedra in at most 6 variables). Each
 facet normal is the integer kernel vector of d-1 generators (from linalg's
 fraction-free elimination) divided by its gcd: the primitive inward normal.
-All of it is plain int arithmetic.
+All of it is plain int arithmetic. With each normal it returns the facet's
+zero set, the generators on it, from the same signs, as a bitmask.
 
 pull_triangulation needs no geometry at all. When every generator spans its
 own extreme ray, a face of the cone is the set of generators it contains,
@@ -45,33 +46,36 @@ def canonical_normal(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-def cone_facets(gens: Sequence[Vector]) -> list[Vector]:
-    """Sorted primitive inward normals of the facets of the pointed,
-    full-dimensional cone spanned by gens: coprime integer vectors y with
-    dot(y, g) >= 0 for every generator g."""
-    found: set[Vector] = set()
+def cone_facets(gens: Sequence[Vector]) -> list[tuple[Vector, int]]:
+    """The facets of the pointed, full-dimensional cone spanned by gens,
+    sorted by normal: each primitive inward normal y (coprime ints with
+    dot(y, g) >= 0 for every generator g) with its zero set, the int whose
+    bit i is set iff dot(y, gens[i]) == 0."""
+    found: dict[Vector, int] = {}
     for subset in combinations(gens, len(gens[0]) - 1):
         ker = kernel_basis(subset)
         if len(ker) != 1:
             continue
         y = canonical_normal(ker[0])
         sides = [dot(y, g) for g in gens]
-        if min(sides) >= 0:
-            found.add(y)
-        elif max(sides) <= 0:
-            found.add(tuple(-x for x in y))
-    return sorted(found)
+        if min(sides) < 0 < max(sides):
+            continue
+        if min(sides) < 0:
+            y = tuple(-x for x in y)
+        found[y] = sum(1 << i for i, side in enumerate(sides) if side == 0)
+    return sorted(found.items())
 
 
-def pull_triangulation(count: int, walls: Sequence[frozenset[int]]) -> list[list[int]]:
-    """Triangulate a pointed cone into simplicial subcones on its generators.
+def pull_triangulation(face: frozenset[int],
+                       walls: Sequence[frozenset[int]]) -> list[list[int]]:
+    """Triangulate a face of a pointed cone into simplicial subcones.
 
-    The cone has generators 0..count-1, each spanning its own extreme ray,
-    and walls lists its facets as the sets of generators they contain.
-    Returns index lists; each list is linearly independent and the subcones
-    cover the cone with pairwise disjoint interiors. The result depends only
-    on the numbering of the generators (the smallest index of each face is
-    its pulling pivot), so renumbering them permutes the decomposition.
+    Every generator spans its own extreme ray, walls lists the cone's facets
+    as the sets of generators they contain, and face is the set of
+    generators of the face to triangulate. Returns index lists; each list is
+    linearly independent and the subcones cover the face with pairwise
+    disjoint interiors. The smallest index of each face is its pulling
+    pivot, so an order-preserving renumbering renumbers the pieces only.
     """
     def recurse(face: frozenset[int]) -> list[list[int]]:
         if len(face) == 1:
@@ -83,4 +87,4 @@ def pull_triangulation(count: int, walls: Sequence[frozenset[int]]) -> list[list
                 for facet in facets if pivot not in facet
                 for tau in recurse(facet)]
 
-    return recurse(frozenset(range(count)))
+    return recurse(frozenset(face))

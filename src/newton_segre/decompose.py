@@ -8,12 +8,10 @@ therefore tiles the whole region:
   * each diagram facet is a pointed (n-1)-polyhedron whose recession cone is
     spanned by the axes its normal misses;
   * homogenizing (vertices at height 1, recession axes at height 0) turns it
-    into a pointed n-cone, a face of the homogenized cone of P, whose
-    generators each span an extreme ray. Its faces are therefore known from
-    the facets of P alone: a facet g of P contributes the vertices on g and
-    the rays parallel to g, and the hyperplane at infinity all the rays.
-    pull_triangulation splits the cone on those index sets into simplicial
-    cones on the original vertices and rays;
+    into a pointed n-cone, a face of the homogenized cone of P whose
+    generators each span an extreme ray: the facet's wall in
+    NewtonPolyhedron.walls. pull_triangulation splits it on those walls into
+    simplicial cones on the original vertices and rays;
   * adding the origin as apex to each piece yields a generalized simplex:
     p+1 finite vertices and q axis rays with p + q = n.
 
@@ -100,34 +98,25 @@ def cone_decomposition(poly: NewtonPolyhedron,
     extreme points (default: lexicographic); changing it changes the pieces
     but never their summed integral.
     """
-    n = poly.n
-    if vertex_order is None:
-        priority = {v: v for v in poly.extreme_points}
-    else:
-        order = [tuple(v) for v in vertex_order]
-        missing = [v for v in poly.extreme_points if v not in order]
-        if missing:
-            raise InvalidInput(f"vertex_order misses the extreme points {missing}")
-        priority = {v: (order.index(v),) for v in poly.extreme_points}
+    points, k = poly.extreme_points, len(poly.extreme_points)
+    order = sorted(points) if vertex_order is None else [tuple(v) for v in vertex_order]
+    missing = [v for v in points if v not in order]
+    if missing:
+        raise InvalidInput(f"vertex_order misses the extreme points {missing}")
+    # number the extreme points in priority order, as the pulling pivot of a
+    # face is its smallest index; axis ray j keeps its index k + j
+    vertices = sorted(points, key=order.index)
+    renumber = {points.index(v): i for i, v in enumerate(vertices)}
+    walls = [frozenset(renumber.get(i, i) for i in range(k + poly.n) if wall >> i & 1)
+             for wall in poly.walls]
 
-    origin = (0,) * n
+    origin = (0,) * poly.n
     pieces: list[GeneralizedSimplex] = []
-    for facet in poly.diagram_facets:
-        vertices = sorted(
-            (v for v in poly.extreme_points if facet.value(v) == facet.offset),
-            key=lambda v: priority[v],
-        )
-        rays = [axis for axis in range(n) if facet.normal[axis] == 0]
-
-        # faces of the homogenized facet, as indices into vertices + rays
-        k = len(vertices)
-        walls = [frozenset([i for i, v in enumerate(vertices) if g.value(v) == g.offset]
-                           + [k + j for j, axis in enumerate(rays) if g.normal[axis] == 0])
-                 for g in poly.facets]
-        walls.append(frozenset(range(k, k + len(rays))))
-        for idx in pull_triangulation(k + len(rays), walls):
-            pieces.append(make_piece([origin] + [vertices[i] for i in idx if i < k],
-                                     [rays[i - k] for i in idx if i >= k]))
+    for facet, wall in zip(poly.facets, walls):
+        if facet.is_diagram:
+            for idx in pull_triangulation(wall, walls):
+                pieces.append(make_piece([origin] + [vertices[i] for i in idx if i < k],
+                                         [i - k for i in idx if i >= k]))
     return pieces
 
 

@@ -177,7 +177,7 @@ def polygamma(r: int, x):
     return float(inv[0]) if scalar else inv
 
 
-def polygamma_extended(r: int, x: float, eps: float = 1e-16) -> float:
+def polygamma_extended(r: int, x: float) -> float:
     """Guard path: the same scheme evaluated in numpy extended precision."""
     import numpy as np
     if x <= 0:
@@ -203,8 +203,6 @@ def polygamma_extended(r: int, x: float, eps: float = 1e-16) -> float:
             break
         value += term
         prev = abs(term)
-        if abs(term) < ld(eps) * ld(1e-3):
-            break
     return float(value + correction)
 
 

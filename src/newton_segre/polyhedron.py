@@ -12,8 +12,9 @@ diagram facet.
 Facets are integral: normals and offsets are plain ints, points are exact
 rationals. Membership and facet decisions are sign decisions and must not
 depend on tolerances. The facets are found once, by cone_facets on the
-homogenization; their incidences (the extreme points v with
-f.value(v) == f.offset) are the face lattice that decompose triangulates.
+homogenization, with their zero sets: the walls, the face lattice that
+decompose triangulates. Walls are bitmasks, as polyhedra are cached and
+kept: a small frozenset takes 216 bytes, an int below 2^30 at most 28.
 
 A generator is extreme iff simplex.feasible puts it outside
 conv(other generators) + orthant: the packing LP max sum lambda_j subject to
@@ -57,9 +58,14 @@ class Facet:
 
 @dataclass(frozen=True)
 class NewtonPolyhedron:
+    """Bit i of walls[j] is set iff generator i of the homogenized cone lies
+    on facets[j]: extreme point i, then axis ray k as len(extreme_points) + k.
+    The last wall is the hyperplane at infinity."""
+
     n: int
     extreme_points: tuple[ExponentVector, ...]
     facets: tuple[Facet, ...]
+    walls: tuple[int, ...]
 
     @property
     def diagram_facets(self) -> tuple[Facet, ...]:
@@ -96,12 +102,13 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
         ray[axis] = 1
         homog.append(tuple(ray))
 
-    # every normal but the hyperplane at infinity's is a facet of P
-    facets = sorted((Facet(normal=y[:n], offset=-y[n])
-                     for y in cone_facets(homog) if any(y[:n])),
-                    key=lambda f: (f.normal, f.offset))
+    # the hyperplane at infinity, normal (0,...,0,1), sorts first, as every
+    # facet of P has a positive entry in y[:n]; its wall goes last
+    (_, at_infinity), *found = cone_facets(homog)
+    facets = tuple(Facet(normal=y[:n], offset=-y[n]) for y, _ in found)
+    walls = tuple(wall for _, wall in found) + (at_infinity,)
 
-    poly = NewtonPolyhedron(n, extremes, tuple(facets))
+    poly = NewtonPolyhedron(n, extremes, facets, walls)
     for v in extremes:  # cheap sanity; a failure means the enumeration is wrong
         if not all(f.value(v) >= f.offset for f in poly.facets):
             raise InternalInconsistency(f"extreme point {v} violates a facet of {ideal}")

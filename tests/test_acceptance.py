@@ -14,7 +14,7 @@ from newton_segre import (EstimatorConfig, TruncatedSeries, estimate,
                           mode_agreement_report, region_condition_via_lct,
                           segre_class)
 from tests.conftest import random_ideal
-from tests.test_quadrature_oracle import SHAPES, quadrature_piece_integral
+from tests.test_quadrature_oracle import SHAPES, draws, quadrature_piece_integral
 from newton_segre import make_piece
 
 
@@ -125,9 +125,7 @@ def test_criterion_6_per_piece_quadrature_oracle():
     for name in sorted(SHAPES):
         vertices, rays = SHAPES[name]
         piece = make_piece([tuple(F(c) for c in v) for v in vertices], rays)
-        rng = random.Random(hash(name) & 0xFFFF)
-        for _ in range(5):
-            X = [rng.uniform(0.05, 2.0) for _ in range(piece.n)]
+        for X in draws(name):
             from newton_segre.segre import piece_value
             closed = float(piece_value(piece, X))
             quad = quadrature_piece_integral(piece, X)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import newton_segre
 from newton_segre import make_ideal, simplex
+from newton_segre.cones import cone_facets
 from newton_segre.lct import diagonal_exit
 from newton_segre.polyhedron import contains_lp, newton_polyhedron
 from newton_segre.series import TruncatedSeries
@@ -64,3 +65,14 @@ def test_every_lp_reaches_solve_lp(monkeypatch):
     assert len(calls) == 4
     diagonal_exit(poly)
     assert len(calls) == 5
+
+
+def test_facet_count_is_the_polyhedron_facets_and_infinity():
+    """bench/run.py counts cones.facets.yield from len(cone_facets(...)): one
+    entry per facet of P and one for the hyperplane at infinity."""
+    for n, gens in ((2, [(2, 0), (1, 1), (0, 3)]), (3, [(2, 0, 1), (0, 3, 0), (1, 1, 1)]),
+                    (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])):
+        poly = newton_polyhedron(make_ideal(n, gens))
+        homog = [v + (1,) for v in poly.extreme_points]
+        homog += [tuple(int(i == axis) for i in range(n + 1)) for axis in range(n)]
+        assert len(cone_facets(homog)) == len(poly.facets) + 1

@@ -168,7 +168,7 @@ def test_estimate_requires_m(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "InvalidInput",
-                               "message": "estimate needs --m or --m-list"}
+                               "message": "one of the arguments --m --m-list is required"}
 
 
 @pytest.mark.parametrize("args", [
@@ -249,9 +249,15 @@ def test_estimate_requires_m(capsys):
     (["lct", '{"n":2,"generators":[[1.5,0],[0,2]]}'], "InvalidInput"),
     (["lct", '{"n":2,"generators":[[true,0],[0,2]]}'], "InvalidInput"),
     (["lct", '{"n":2,"generators":[["3",0],[0,2]]}'], "InvalidInput"),
+    # an SVG path that cannot be written: a missing directory, a directory
+    (["diagram", "x1^2,x2", "--svg", "{tmp}/missing/a.svg"], "InvalidInput"),
+    (["diagram", "x1^2,x2", "--svg", "{tmp}"], "InvalidInput"),
+    (["estimate", "x1^2,x2^3", "--m", "10", "--m-list", "10,20", "--X", "1/3,1/2"],
+     "InvalidInput"),
 ])
-def test_estimate_bad_input_is_typed(args, capsys):
+def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, out, err = run_cli(argv, capsys)
     assert code == 2
     assert out == ""

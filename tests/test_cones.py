@@ -140,5 +140,19 @@ def test_pull_triangulation_does_no_linear_algebra(monkeypatch):
     # generators (0,2,1), (1,1,1), (3,0,1), (1,0,0), (0,1,0), and its facets
     # as generator sets: two diagram edges, two axes, the hyperplane at infinity
     walls = [frozenset(w) for w in ({0, 1}, {1, 2}, {0, 4}, {2, 3}, {3, 4})]
-    assert pull_triangulation(5, walls) == [[2, 1, 0], [3, 2, 0], [4, 3, 0]]
+    assert pull_triangulation(frozenset(range(5)), walls) == [[2, 1, 0], [3, 2, 0], [4, 3, 0]]
+    assert calls == []
+
+
+def test_cone_decomposition_evaluates_no_facet(monkeypatch):
+    """The triangulated faces come from the stored walls: no Facet.value and
+    no other dot product once the polyhedron is built."""
+    polys = [newton_polyhedron(make_ideal(3, [(2, 0, 1), (0, 3, 0), (1, 1, 1)])),
+             newton_polyhedron(make_ideal(4, [(2, 0, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0),
+                                              (0, 1, 0, 1), (0, 0, 2, 2)])),
+             newton_polyhedron(N6_EIGHT)]
+    calls = []
+    _count_calls(monkeypatch, linalg.dot, calls)
+    for poly in polys:
+        assert cone_decomposition(poly)
     assert calls == []

@@ -99,13 +99,28 @@ def test_facet_and_lp_membership_agree(rng):
 
 
 @st.composite
-def _ideals(draw):
-    n = draw(st.integers(1, 4))
+def _ideals(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=6))
     if draw(st.booleans()):  # m-primary: a pure power of every variable
         gens += [tuple(draw(st.integers(1, 6)) * (i == j) for i in range(n))
                  for j in range(n)]
     return make_ideal(n, [g for g in gens if any(g)] or [(1,) * n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ideals(max_n=5))
+def test_walls_are_the_facet_incidences(ideal):
+    """walls[j] has the bits of the extreme points on facets[j] and of the
+    axis rays parallel to it; the last wall, the hyperplane at infinity,
+    those of every ray."""
+    poly = newton_polyhedron(ideal)
+    k = len(poly.extreme_points)
+    expected = [sum(1 << i for i, v in enumerate(poly.extreme_points)
+                    if f.value(v) == f.offset)
+                + sum(1 << (k + axis) for axis in range(poly.n) if f.normal[axis] == 0)
+                for f in poly.facets]
+    assert poly.walls == (*expected, sum(1 << (k + axis) for axis in range(poly.n)))
 
 
 def _boundary_points(poly):

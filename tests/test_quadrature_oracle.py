@@ -14,6 +14,7 @@ geometrically and 1e-8 relative is comfortable at 48 nodes per axis.
 
 import math
 import random
+import zlib
 from fractions import Fraction as F
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ def quadrature_piece_integral(piece, X: list[float]) -> float:
     """Gauss-Legendre integral of the kernel over the parametrized piece.
 
     Simplex coordinates come from stick-breaking maps. The ray block uses
-    radial-simplex coordinates mu = rho * beta with one tail-transformed
-    radius: the product map t_k/(1-t_k) per ray is not smooth where several
-    rays reach infinity together, while the radial form stays analytic.
+    radial-simplex coordinates mu_k = rho * beta_k / X_k with one
+    tail-transformed radius: the product map t_k/(1-t_k) per ray is not
+    smooth where several rays reach infinity together, while the radial form
+    stays analytic. Dividing by X_k makes sum_k mu_k X_k = rho exactly, so
+    the kernel's decay along every ray direction is the same in rho however
+    unequal the X_k are.
     """
     n = piece.n
     p = len(piece.finite_vertices) - 1
@@ -69,12 +73,11 @@ def quadrature_piece_integral(piece, X: list[float]) -> float:
             weight = weight * remaining
             remaining = remaining * (1.0 - u[:, p + j])
         betas[:, q - 1] = remaining
-        scale = float(np.mean([xs[axis] for axis in rays]))
         t = u[:, dims - 1]
-        rho = t / ((1.0 - t) * scale)
-        weight = weight * rho ** (q - 1) / ((1.0 - t) ** 2 * scale)
+        rho = t / (1.0 - t)
+        weight = weight * rho ** (q - 1) / ((1.0 - t) ** 2 * np.prod(xs[rays]))
         for j, axis in enumerate(rays):
-            points[:, axis] += rho * betas[:, j]
+            points[:, axis] += rho * betas[:, j] / xs[axis]
 
     kernel = math.factorial(n) * float(np.prod(xs)) \
         / (1.0 + points @ xs) ** (n + 1)
@@ -93,13 +96,25 @@ SHAPES = {
 }
 
 
+# one small X among the rays: a radial scale shared by rays with unequal X
+# (their mean) missed the gate at these draws
+PINNED = {"two-ray-3d": [[1.5369801096468103, 1.9724686867711074, 0.05204480836679562],
+                         [1.9179322913700367, 1.9934762513512565, 0.05912019465603949]]}
+
+
+def draws(name: str) -> list[list[float]]:
+    """Five parameter points for a shape, the same in every process, and
+    its pinned ones."""
+    rng = random.Random(zlib.crc32(name.encode()))
+    n = len(SHAPES[name][0][0])
+    return [[rng.uniform(0.05, 2.0) for _ in range(n)] for _ in range(5)] + PINNED.get(name, [])
+
+
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_closed_form_matches_quadrature(name):
     vertices, rays = SHAPES[name]
     piece = make_piece([tuple(F(c) for c in v) for v in vertices], rays)
-    rng = random.Random(hash(name) & 0xFFFF)
-    for _ in range(5):
-        X = [rng.uniform(0.05, 2.0) for _ in range(piece.n)]
+    for X in draws(name):
         closed = float(piece_value(piece, X))
         quad = quadrature_piece_integral(piece, X)
         assert abs(closed - quad) <= 1e-8 * abs(quad), \

@@ -114,7 +114,7 @@ def test_region_and_polyhedron_partition_unity():
                  for f in poly.facets]
         walls.append(frozenset(range(k, k + n)))
         over_polyhedron = F(0)
-        for idx in pull_triangulation(k + n, walls):
+        for idx in pull_triangulation(frozenset(range(k + n)), walls):
             verts = [poly.extreme_points[i] for i in idx if i < k]
             rays = [i - k for i in idx if i >= k]
             piece = make_piece([tuple(F(c) for c in v) for v in verts], rays)
