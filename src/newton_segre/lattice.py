@@ -43,9 +43,11 @@ that exact mode enumerates, up to float rounding.
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
 (EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
-integer denominators would leave int64. Below that it enumerates the box in
-blocks of about 2^13 points split along its longest axis, so its memory
-grows only with the number of distinct denominators. Like kernel_term, the
+integer denominators would leave int64; both it and the float path refuse
+when the facet values c*m + w.a over the box would. Below that it
+enumerates the box in blocks of about 2^13 points split along its longest
+axis, so its memory grows only with the number of distinct denominators.
+The lct_based mode reads the facets as Python ints. Like kernel_term, the
 lct_based mode sums exactly from the rational value of every X_i and
 converts to float only at return, in float64 mode.
 
@@ -143,30 +145,40 @@ def kernel_term(a: Sequence[int], m: int, X: Sequence):
 # facet geometry helpers (integer form)
 # ---------------------------------------------------------------------------
 
-def _int_facets(poly: NewtonPolyhedron) -> tuple[np.ndarray, np.ndarray]:
-    """Diagram facets as integer arrays (W, C): member iff some W.a <= C*m."""
-    import numpy as np
-    W = np.array([f.normal for f in poly.diagram_facets], dtype=np.int64)
-    C = np.array([f.offset for f in poly.diagram_facets], dtype=np.int64)
-    return W, C
-
-
-def _axis_limits(W: np.ndarray, C: np.ndarray, m: int,
+def _axis_limits(poly: NewtonPolyhedron, m: int,
                  cutoff: int) -> tuple[list[int], list[int]]:
     """Per axis i, the core threshold and the box limit of the region.
 
-    core_i is the largest a_i that a facet seeing axis i (W_f,i > 0) admits,
-    max C_f*m // W_f,i, capped at the cutoff. limit_i is core_i when every
-    facet sees axis i, so the region is bounded along it, and the cutoff
-    otherwise.
+    core_i is the largest a_i that a diagram facet seeing axis i (w_i > 0)
+    admits, max c*m // w_i, capped at the cutoff. limit_i is core_i when
+    every diagram facet sees axis i, so the region is bounded along it, and
+    the cutoff otherwise. Plain ints: no int64 limit applies.
     """
     core, limits = [], []
-    for i in range(W.shape[1]):
-        core.append(min(max((int(C[f]) * m // int(W[f, i])
-                             for f in range(W.shape[0]) if W[f, i] > 0), default=0),
-                        cutoff))
-        limits.append(core[i] if W[:, i].all() else cutoff)
+    for i in range(poly.n):
+        core.append(min(max((f.offset * m // f.normal[i] for f in poly.diagram_facets
+                             if f.normal[i] > 0), default=0), cutoff))
+        limits.append(core[i] if all(f.normal[i] for f in poly.diagram_facets) else cutoff)
     return core, limits
+
+
+def _int_facets(poly: NewtonPolyhedron, m: int,
+                limits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Diagram facets as int64 arrays (W, C): member iff some W.a <= C*m.
+
+    Every W.a and C*m over the box 1 <= a <= limits is at most
+    c*m + sum_j w_j*limit_j; beyond int64 that raises EstimateTooLarge."""
+    import numpy as np
+    facets = poly.diagram_facets
+    largest = max(f.offset * m + sum(w * limit for w, limit in zip(f.normal, limits))
+                  for f in facets)
+    if largest > _INT64_MAX:
+        raise EstimateTooLarge(
+            f"facet arithmetic reaches {largest}, beyond the int64 limit "
+            f"{_INT64_MAX}; lower m or ray_cutoff")
+    W = np.array([f.normal for f in facets], dtype=np.int64)
+    C = np.array([f.offset for f in facets], dtype=np.int64)
+    return W, C
 
 
 def _member_mask(W: np.ndarray, C: np.ndarray, m: int,
@@ -252,13 +264,12 @@ def _float_params(X: Sequence, n: int) -> list[float]:
 
 def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
     """Crude rigorous bound for the part beyond the cutoff on unbounded axes."""
-    W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = _float_params(cfg.X, n)
-    _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
+    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     total = 0.0
     for axis in range(n):
-        if W[:, axis].all():
+        if all(f.normal[axis] for f in poly.diagram_facets):
             continue
         cross = math.prod(limits[i] for i in range(n) if i != axis)
         shift = sum(xs[i] for i in range(n) if i != axis)
@@ -274,10 +285,10 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
 def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
     """The truncated sum as closed-form column sums over the cells (float64)."""
     import numpy as np
-    W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = _float_params(cfg.X, n)
-    core, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
+    core, limits = _axis_limits(poly, m, cfg.ray_cutoff)
+    W, C = _int_facets(poly, m, limits)
 
     cells = []
     columns = 0
@@ -329,12 +340,11 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     over distinct denominator values instead of over lattice points.
     """
     import numpy as np
-    W, C = _int_facets(poly)
     m, n = cfg.m, poly.n
     xs = [Fraction(x) for x in cfg.X]
     L = math.lcm(*(x.denominator for x in xs))
     lx = [int(x * L) for x in xs]
-    _, limits = _axis_limits(W, C, m, cfg.ray_cutoff)
+    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
     points = math.prod(limits)
@@ -347,6 +357,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
         raise EstimateTooLarge(
             f"exact estimate needs denominator values up to {largest}, beyond "
             f"the int64 limit {_INT64_MAX}")
+    W, C = _int_facets(poly, m, limits)
 
     # the box split along its longest axis into blocks of about _CHUNK points
     s = limits.index(max(limits))
@@ -377,7 +388,7 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
     exact, and converted to float at return in float64 mode.
     """
     m = cfg.m
-    _, limits = _axis_limits(*_int_facets(poly), m, cfg.ray_cutoff)
+    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     points = math.prod(max(limit, 0) for limit in limits)
     if points > 200_000:
         raise EstimateTooLarge(
@@ -436,9 +447,9 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     import random
 
     poly = newton_polyhedron(ideal)
-    W, C = _int_facets(poly)
     cutoff = scan_cutoff if scan_cutoff is not None else 4 * m
-    _, limits = _axis_limits(W, C, m, cutoff)
+    _, limits = _axis_limits(poly, m, cutoff)
+    W, C = _int_facets(poly, m, limits)
     counter = [0]
     interior = 0
     edge = 0

@@ -6,10 +6,10 @@ That exit parameter sigma is the internal primitive here (it avoids
 reciprocal churn); the threshold itself is a view on it.
 
 sigma is computed two ways on every call -- as 1 / the packing LP of
-simplex.solve_lp (max sum mu_j subject to sum_j mu_j v_j <= (1,...,1)),
-which reads only the extreme points, and as the maximum of c / <w, (1,..,1)>
-over diagram facets -- and the two must agree, which keeps the LP solver and
-the facet enumeration honest against each other.
+simplex.solve_lp (max sum mu_j subject to sum_j mu_j v_j <= (1,...,1)) over
+the ideal's generators, and as the maximum of c / <w, (1,..,1)> over diagram
+facets -- and the two must agree; they share nothing but the generators,
+which keeps the LP solver and the facet enumeration honest against each other.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .simplex import solve_lp
 
 def diagonal_exit(poly: NewtonPolyhedron) -> Fraction:
     """min { s >= 0 : s*(1,...,1) lies in the polyhedron }, exactly."""
-    via_lp = 1 / solve_lp(poly.extreme_points)
+    via_lp = 1 / solve_lp(poly.generators)
     via_facets = max(
         Fraction(f.offset, sum(f.normal)) for f in poly.diagram_facets
     )

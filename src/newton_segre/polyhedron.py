@@ -12,22 +12,22 @@ diagram facet.
 Facets are integral: normals and offsets are plain ints, points are exact
 rationals. Membership and facet decisions are sign decisions and must not
 depend on tolerances. The facets are found once, by cone_facets on the
-homogenization, with their zero sets: the walls, the face lattice that
-decompose triangulates. Walls are bitmasks, as polyhedra are cached and
-kept: a small frozenset takes 216 bytes, an int below 2^30 at most 28.
+homogenization of every generator, with their zero sets: the walls, the
+face lattice that decompose triangulates and that decides which generators
+are extreme. Walls are bitmasks, as polyhedra are cached and kept: a small
+frozenset takes 216 bytes, an int below 2^30 at most 28.
 
-A generator is extreme iff simplex.feasible puts it outside
-conv(other generators) + orthant: the packing LP max sum lambda_j subject to
-sum_j lambda_j u_j <= v over the other generators u stays below 1.
-contains_lp asks the same LP about a point over the extreme points; it never
-reads the facets, so it checks the facet route of contains independently.
+contains_lp decides membership by simplex.feasible, the packing LP over the
+ideal's generators; it never reads the facets, so it checks the facet route
+of contains independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import Sequence
 
 from .cones import cone_facets
@@ -60,12 +60,14 @@ class Facet:
 class NewtonPolyhedron:
     """Bit i of walls[j] is set iff generator i of the homogenized cone lies
     on facets[j]: extreme point i, then axis ray k as len(extreme_points) + k.
-    The last wall is the hyperplane at infinity."""
+    The last wall is the hyperplane at infinity. generators are the ideal's
+    minimal generators; only the LP cross-checks read them."""
 
     n: int
     extreme_points: tuple[ExponentVector, ...]
     facets: tuple[Facet, ...]
     walls: tuple[int, ...]
+    generators: tuple[ExponentVector, ...]
 
     @property
     def diagram_facets(self) -> tuple[Facet, ...]:
@@ -76,43 +78,35 @@ class NewtonPolyhedron:
         return tuple(f for f in self.facets if not f.is_diagram)
 
 
-def _is_extreme(candidate: ExponentVector, others: Sequence[ExponentVector]) -> bool:
-    """candidate is extreme iff it is not in conv(others) + orthant."""
-    return not others or not feasible(others, candidate)
-
-
 @lru_cache(maxsize=512)
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """Extreme points and complete facet description of conv(gens) + orthant.
 
-    Facets are enumerated exhaustively on the homogenization: generators
-    (v, 1) for extreme points v together with the axis rays (e_i, 0) span a
-    pointed full-dimensional cone in R^(n+1) whose facets, apart from the
-    hyperplane at infinity, are exactly the facets of the polyhedron.
+    Facets are enumerated exhaustively on the homogenization: the generators
+    (v, 1) and the axis rays (e_i, 0) span a pointed full-dimensional cone in
+    R^(n+1) whose facets, apart from the hyperplane at infinity, are the
+    facets of P. The smallest face through a generator is the intersection
+    of the facets through it and is spanned by the generators it contains:
+    a generator is extreme iff the zero sets through it meet in it alone.
     """
-    n = ideal.n
-    gens = ideal.generators
-    extremes = tuple(
-        v for v in gens if _is_extreme(v, [u for u in gens if u != v])
-    )
-
-    homog = [v + (1,) for v in extremes]
-    for axis in range(n):
-        ray = [0] * (n + 1)
-        ray[axis] = 1
-        homog.append(tuple(ray))
+    n, gens = ideal.n, ideal.generators
+    homog = [v + (1,) for v in gens]
+    homog += [tuple(int(i == axis) for i in range(n + 1)) for axis in range(n)]
 
     # the hyperplane at infinity, normal (0,...,0,1), sorts first, as every
     # facet of P has a positive entry in y[:n]; its wall goes last
     (_, at_infinity), *found = cone_facets(homog)
+    zero_sets = [wall for _, wall in found] + [at_infinity]
+    extreme = [i for i in range(len(gens)) if 1 << i == reduce(
+        and_, (wall for wall in zero_sets if wall >> i & 1), (1 << len(homog)) - 1)]
+    # renumbered: extreme point j is bit j, axis ray k bit len(extreme) + k
+    walls = tuple(sum(1 << j for j, i in enumerate(extreme) if wall >> i & 1)
+                  | wall >> len(gens) << len(extreme) for wall in zero_sets)
     facets = tuple(Facet(normal=y[:n], offset=-y[n]) for y, _ in found)
-    walls = tuple(wall for _, wall in found) + (at_infinity,)
-
-    poly = NewtonPolyhedron(n, extremes, facets, walls)
-    for v in extremes:  # cheap sanity; a failure means the enumeration is wrong
-        if not all(f.value(v) >= f.offset for f in poly.facets):
-            raise InternalInconsistency(f"extreme point {v} violates a facet of {ideal}")
-    return poly
+    for v in gens:  # cheap sanity; a failure means the enumeration is wrong
+        if not all(f.value(v) >= f.offset for f in facets):
+            raise InternalInconsistency(f"generator {v} violates a facet of {ideal}")
+    return NewtonPolyhedron(n, tuple(gens[i] for i in extreme), facets, walls, gens)
 
 
 def _check_point(n: int, point: Sequence[Fraction | int]) -> RationalPoint:
@@ -132,12 +126,12 @@ def contains(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> bool:
 
 
 def contains_lp(poly: NewtonPolyhedron, point: Sequence[Fraction | int]) -> bool:
-    """Same membership decided by the packing LP over the extreme points.
+    """Same membership decided by the packing LP over the generators.
 
     Kept alongside the facet route on purpose; the two must agree and the
     test suite checks that they do.
     """
-    return feasible(poly.extreme_points, _check_point(poly.n, point))
+    return feasible(poly.generators, _check_point(poly.n, point))
 
 
 def in_newton_region(ideal: MonomialIdeal | NewtonPolyhedron,

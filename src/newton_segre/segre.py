@@ -36,8 +36,9 @@ from numbers import Rational, Real
 from typing import Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
-from .errors import AmbientTooSmall, InvalidInput, NonPositiveParameter
+from .errors import AmbientTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal
+from .polygamma import MAX_COLUMNS
 from .polyhedron import newton_polyhedron
 from .series import TruncatedSeries
 
@@ -100,12 +101,19 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
     """Segre class inside projective space of the given dimension.
 
     The multivariate series is truncated at total degree ambient_dim, since
-    H^(ambient_dim + 1) = 0 kills everything higher after pushforward.
+    H^(ambient_dim + 1) = 0 kills everything higher after pushforward. A
+    series that could hold more than MAX_COLUMNS terms, C(ambient_dim + n, n),
+    is refused with EstimateTooLarge before anything is allocated.
     """
     n = ideal.n
     if ambient_dim < n - 1:
         raise AmbientTooSmall(
             f"ambient dimension {ambient_dim} cannot contain a scheme in {n} variables")
+    terms = math.comb(ambient_dim + n, n)
+    if terms > MAX_COLUMNS:
+        raise EstimateTooLarge(
+            f"the series to degree {ambient_dim} in {n} variables holds {terms} terms, "
+            f"above the limit of {MAX_COLUMNS}; lower the ambient dimension")
     pieces = tuple(cone_decomposition(newton_polyhedron(ideal)))
     total = TruncatedSeries.zero(n, ambient_dim)
     for piece in pieces:

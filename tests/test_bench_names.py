@@ -45,7 +45,8 @@ def test_traced_names_resolve():
 def test_every_lp_reaches_solve_lp(monkeypatch):
     """bench/run.py reports simplex.lp.calls as the calls of simplex.solve_lp,
     wrapped in every namespace that holds it, so every LP must go through
-    that name."""
+    that name. Building the polyhedron solves none; each cross-check solves
+    one over the ideal's generators, extreme or not."""
     original = simplex.solve_lp
     calls = []
 
@@ -59,12 +60,13 @@ def test_every_lp_reaches_solve_lp(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     newton_polyhedron.cache_clear()
-    poly = newton_polyhedron(make_ideal(2, [(2, 0), (1, 1), (0, 3)]))
-    assert len(calls) == 3  # one extreme-point LP per generator
+    ideal = make_ideal(2, [(2, 0), (1, 1), (0, 2)])
+    poly = newton_polyhedron(ideal)
+    assert calls == []
+    assert len(poly.extreme_points) == 2  # (1, 1) lies on the diagram facet
     assert contains_lp(poly, (1, 2))
-    assert len(calls) == 4
     diagonal_exit(poly)
-    assert len(calls) == 5
+    assert [args[0] for args in calls] == [ideal.generators] * 2
 
 
 def test_facet_count_is_the_polyhedron_facets_and_infinity():

@@ -4,9 +4,11 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
+from newton_segre import kernel_term
 from newton_segre.cli import main
 from tests.conftest import subprocess_env
 
@@ -254,6 +256,8 @@ def test_estimate_requires_m(capsys):
     (["diagram", "x1^2,x2", "--svg", "{tmp}"], "InvalidInput"),
     (["estimate", "x1^2,x2^3", "--m", "10", "--m-list", "10,20", "--X", "1/3,1/2"],
      "InvalidInput"),
+    # a series of C(10^8 + 1, 1) terms, above 2^22
+    (["segre", "x1", "--ambient", "100000000"], "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args
@@ -263,6 +267,19 @@ def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     assert out == ""
     (line,) = err.splitlines()
     assert json.loads(line)["error"] == error
+
+
+def test_lct_mode_needs_no_int64_facets(capsys):
+    """The lct-based oracle reads the facets as Python ints, so exponents
+    beyond int64 leave it exact: with N = 10^19 the region a1/6 + a2/(3N)
+    <= 1 holds a1 <= 5 at every a2 <= 10."""
+    code, out, err = run_cli(["estimate", "x1^2,x2^10000000000000000000", "--m", "3",
+                              "--cutoff", "10", "--X", "1,1", "--mode", "lct",
+                              "--arith", "exact"], capsys)
+    assert (code, err) == (0, "")
+    expected = sum(kernel_term((a1, a2), 3, (1, 1))
+                   for a1 in range(1, 6) for a2 in range(1, 11))
+    assert Fraction(json.loads(out)["estimate_rational"]) == expected
 
 
 def test_help_still_prints_usage(capsys):
@@ -278,6 +295,11 @@ def test_help_still_prints_usage(capsys):
     # the common denominator of X times m leaves int64
     (["x1,x2", "--m", "100", "--X", "1/303700049,1/303700051", "--arith", "exact"],
      "beyond the int64 limit"),
+    # the facet values c*m + w.a leave int64 (they overflowed in numpy)
+    (["x1^2,x2^1000000000000000000", "--m", "10", "--X", "1,1"], "beyond the int64 limit"),
+    (["x1^2,x2^1000000000000000000", "--m", "10", "--X", "1,1", "--arith", "exact"],
+     "beyond the int64 limit"),
+    (["x1^2,x2^10000000000000000000", "--m", "10", "--X", "1,1"], "beyond the int64 limit"),
 ])
 def test_estimate_too_large_is_refused(args, cost, capsys):
     start = time.perf_counter()

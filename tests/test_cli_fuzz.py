@@ -21,7 +21,9 @@ from newton_segre.cli import main
 
 _VALID_IDEALS = [("x1^2,x2^3", 2), ("x1*x2", 2), ("x1", 1), ("x1^2,x1*x2,x2^2", 2),
                  ("x1^3,x2", 2), ("x1*x2*x3", 3), ("x1^2, x2^2, x3^2", 3),
-                 ("x1*x2,x3^2", 3), ('{"n":2,"generators":[[1,0],[0,2]]}', 2)]
+                 ("x1*x2,x3^2", 3), ('{"n":2,"generators":[[1,0],[0,2]]}', 2),
+                 # facet values beyond int64 at any m, and exponents beyond it
+                 ("x1^2,x2^1000000000000000000", 2), ("x1^2,x2^10000000000000000000", 2)]
 _IDEALS = st.sampled_from([text for text, _ in _VALID_IDEALS] + [
     "x1^", "", "x0", "x1^0", "x1,,x2", '{"n":2}', "x1*x3"])
 _N = st.sampled_from(["2", "3", "0", "a"])
@@ -90,7 +92,7 @@ def _ideal_command(name, *flags):
 
 _ARGV = st.one_of(
     _ideal_command("lct"),
-    _ideal_command("segre", st.sampled_from(["0", "1", "2", "3", "a"]).map(
+    _ideal_command("segre", st.sampled_from(["0", "1", "2", "3", "a", "100000000"]).map(
         lambda v: ["--ambient", v])),
     _ideal_command("diagram"),
     _estimate(),

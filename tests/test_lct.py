@@ -27,7 +27,7 @@ def test_facet_cross_check_survives_optimize():
         # (x1^2, x2^3) with its diagram facet 3 a1 + 2 a2 >= 6 moved to 7
         poly = NewtonPolyhedron(2, ((0, 3), (2, 0)), (
             Facet((0, 1), 0), Facet((1, 0), 0), Facet((3, 2), 7)),
-            (0b0110, 0b1001, 0b0011, 0b1100))
+            (0b0110, 0b1001, 0b0011, 0b1100), ((0, 3), (2, 0)))
         try:
             diagonal_exit(poly)
         except InternalInconsistency as exc:

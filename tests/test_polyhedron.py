@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_segre import (NegativeCoordinate, contains, contains_lp, diagonal_exit,
-                          in_newton_region, make_ideal, newton_polyhedron,
+                          feasible, in_newton_region, make_ideal, newton_polyhedron,
                           polyhedron_to_json, solve_lp, stretch)
 from tests.conftest import random_ideal, random_rational
 
@@ -121,6 +121,28 @@ def test_walls_are_the_facet_incidences(ideal):
                 + sum(1 << (k + axis) for axis in range(poly.n) if f.normal[axis] == 0)
                 for f in poly.facets]
     assert poly.walls == (*expected, sum(1 << (k + axis) for axis in range(poly.n)))
+
+
+@st.composite
+def _ideals_with_midpoints(draw):
+    """Random generators and the ceil-midpoints of some pairs of them, which
+    lie on a facet of P or strictly inside it."""
+    n = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=5))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(gens), st.sampled_from(gens)),
+                          max_size=3))
+    gens += [tuple(-(-(a + b) // 2) for a, b in zip(u, v)) for u, v in pairs]
+    return make_ideal(n, [g for g in gens if any(g)] or [(1,) * n])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals_with_midpoints())
+def test_extreme_points_match_the_lp_oracle(ideal):
+    """The extreme points read off the face lattice are the generators that
+    the packing LP puts outside conv(the other generators) + orthant."""
+    others = {v: [u for u in ideal.generators if u != v] for v in ideal.generators}
+    by_lp = tuple(v for v, rest in others.items() if not rest or not feasible(rest, v))
+    assert newton_polyhedron(ideal).extreme_points == by_lp
 
 
 def _boundary_points(poly):
