@@ -14,19 +14,16 @@ import io
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 
-from .decompose import cone_decomposition
 from .errors import EstimateTooLarge, InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
-from .lattice import (EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, EstimatorConfig,
-                      convergence_report, estimate)
+from .lattice import EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, convergence_report
 from .lct import diagonal_exit
 from .polygamma import (verify_diagonal_identity, verify_power_identity,
                         verify_two_variable_identity)
 from .polyhedron import newton_polyhedron, polyhedron_to_json
-from .segre import evaluate, segre_class
+from .segre import segre_class
 
 
 def _fmt(x: float) -> str:
@@ -54,19 +51,23 @@ def _decimal_digits(k: int) -> int:
     return d - (k < 10 ** (d - 1))
 
 
-def _ideal_from_args(args) -> "MonomialIdeal":  # noqa: F821
-    return parse_ideal(args.ideal, n=args.n)
+def _write_csv(header: list[str], rows) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
+    writer.writerow(header)
+    writer.writerows(rows)
+    sys.stdout.write(out.getvalue())
 
 
 def _cmd_lct(args) -> int:
-    ideal = _ideal_from_args(args)
+    ideal = parse_ideal(args.ideal, n=args.n)
     sigma = diagonal_exit(newton_polyhedron(ideal))
     print(json.dumps({"lct": str(1 / sigma), "sigma": str(sigma)}))
     return 0
 
 
 def _cmd_segre(args) -> int:
-    ideal = _ideal_from_args(args)
+    ideal = parse_ideal(args.ideal, n=args.n)
     result = segre_class(ideal, ambient_dim=args.ambient)
     payload = {
         "pushforward": [str(c) for c in result.pushforward],
@@ -82,36 +83,22 @@ def _cmd_segre(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    ideal = _ideal_from_args(args)
+    ideal = parse_ideal(args.ideal, n=args.n)
     X = _parse_x(args.X)
     mode = {"membership": MEMBERSHIP, "lct": LCT_BASED}.get(args.mode, args.mode)
     arith = EXACT if args.arith == "exact" else FLOAT64
+    m_list = [args.m] if args.m_list is None else _parse_m_list(args.m_list)
+    rows = convergence_report(ideal, X, m_list, condition_mode=mode,
+                              arithmetic=arith, ray_cutoff=args.cutoff)
+    header = ["m", "estimate", "exact", "abs_error", "seconds"]
+    lines = [[row.m, _fmt(row.estimate), _fmt(row.exact_value), _fmt(row.abs_error),
+              _fmt(row.elapsed_time)] for row in rows]
     if args.m_list is not None:
-        rows = convergence_report(
-            ideal, X, _parse_m_list(args.m_list), condition_mode=mode,
-            arithmetic=arith, ray_cutoff=args.cutoff)
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
-        writer.writerow(["m", "estimate", "exact", "abs_error", "seconds"])
-        for row in rows:
-            writer.writerow([row.m, _fmt(row.estimate), _fmt(row.exact_value),
-                             _fmt(row.abs_error), _fmt(row.elapsed_time)])
-        sys.stdout.write(out.getvalue())
+        _write_csv(header, lines)
         return 0
-    cfg = EstimatorConfig(m=args.m, X=X, condition_mode=mode,
-                          ray_cutoff=args.cutoff, arithmetic=arith)
-    start = time.perf_counter()
-    value = estimate(ideal, cfg)
-    elapsed = time.perf_counter() - start
-    exact = evaluate(cone_decomposition(newton_polyhedron(ideal)), X)
-    payload = {
-        "m": args.m,
-        "estimate": _fmt(float(value)),
-        "exact": _fmt(float(exact)),
-        "abs_error": _fmt(abs(float(value) - float(exact))),
-        "seconds": _fmt(elapsed),
-    }
+    payload = dict(zip(header, lines[0]))  # --m: the one row, as JSON
     if arith == EXACT:
+        value = rows[0].estimate
         try:
             payload["estimate_rational"] = str(value)
         except ValueError:  # beyond the interpreter's int-to-str digit limit
@@ -179,12 +166,8 @@ def _cmd_verify(args) -> int:
         target = l1 * l2 * X1 * X2 / ((1 + l1 * X1) * (1 + l2 * X2))
     if not math.isfinite(target):
         raise InvalidInput(f"the {args.identity} identity's target is not a finite float64")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\r\n")  # RFC 4180
-    writer.writerow(["m", "value", "target"])
-    for m, value in zip(m_values, values):
-        writer.writerow([m, _fmt(value), _fmt(target)])
-    sys.stdout.write(out.getvalue())
+    _write_csv(["m", "value", "target"],
+               ([m, _fmt(value), _fmt(target)] for m, value in zip(m_values, values)))
     return 0
 
 
@@ -216,7 +199,7 @@ def _staircase_svg(poly) -> str:
 
 
 def _cmd_diagram(args) -> int:
-    ideal = _ideal_from_args(args)
+    ideal = parse_ideal(args.ideal, n=args.n)
     if args.svg and ideal.n != 2:
         raise InvalidInput("staircase SVG is only drawn for n = 2")
     poly = newton_polyhedron(ideal)

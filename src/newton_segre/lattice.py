@@ -10,7 +10,9 @@ whenever the region is bounded; the full-orthant sum tends to 1, so the two
 formulations agree in the m -> infinity limit and the finite-m difference is
 folded into the reported bias. Points on the diagram boundary are included
 (the region is a closure). Along axes where the region is unbounded the sum
-is truncated at a cutoff (default 10*m^2, far below the leading bias).
+is truncated at a cutoff (default 10*m^2, far below the leading bias). With
+a tail_tolerance, every mode first bounds the part beyond the cutoff and
+raises CutoffTooSmall when the bound exceeds it.
 
 The float64 path never enumerates points. Each axis i has a box limit L_i
 (its bound, or the cutoff) and a core threshold r_i, the largest a_i any
@@ -55,7 +57,9 @@ Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
 the cross-stretched ideal and compares m against the product times its log
 canonical threshold. They must index the same set away from points with
-some a_i = 1; mode_agreement_report measures exactly that.
+some a_i = 1; mode_agreement_report measures exactly that. Both share one
+budget, MAX_LCT_POINTS: lct_based mode refuses a box with more points, and
+the report a scan with more columns, before building anything.
 """
 
 from __future__ import annotations
@@ -83,6 +87,10 @@ LCT_BASED = "lct_based"
 EXACT = "exact_rational"
 FLOAT64 = "float64"
 
+# Largest number of lattice points lct_based mode enumerates, and of columns
+# mode_agreement_report scans (about 1.6 lct evaluations each, ~0.3 ms apiece).
+MAX_LCT_POINTS = 200_000
+
 
 @dataclass
 class EstimatorConfig:
@@ -97,7 +105,8 @@ class EstimatorConfig:
         if self.m < 1:
             raise InvalidInput(f"m must be a positive integer, got {self.m}")
         self.X = tuple(self.X)
-        _exact_point(self.X)
+        if _exact_point(self.X)[1] and self.arithmetic == EXACT:
+            raise InvalidInput("exact_rational arithmetic needs rational X")
         if self.condition_mode not in (MEMBERSHIP, LCT_BASED):
             raise InvalidInput(f"unknown condition mode {self.condition_mode!r}")
         if self.arithmetic not in (EXACT, FLOAT64):
@@ -112,7 +121,7 @@ class EstimatorConfig:
 @dataclass(frozen=True)
 class ConvergenceRow:
     m: int
-    estimate: float
+    estimate: float | Fraction  # what estimate() returned
     exact_value: float
     abs_error: float
     elapsed_time: float
@@ -230,16 +239,15 @@ def estimate(ideal: MonomialIdeal, cfg: EstimatorConfig):
     float in float64 mode.
     """
     _check_length(ideal, cfg.X)
-    if cfg.arithmetic == EXACT and _exact_point(cfg.X)[1]:
-        raise InvalidInput("exact_rational arithmetic needs rational X")
     poly = newton_polyhedron(ideal)
-    if cfg.condition_mode == LCT_BASED:
-        return _estimate_bruteforce(ideal, poly, cfg)
+    core, limits = _axis_limits(poly, cfg.m, cfg.ray_cutoff)
     if cfg.tail_tolerance is not None:
-        _check_tail(poly, cfg)
+        _check_tail(poly, cfg, limits)
+    if cfg.condition_mode == LCT_BASED:
+        return _estimate_bruteforce(ideal, cfg, limits)
     if cfg.arithmetic == EXACT:
-        return _estimate_exact(poly, cfg)
-    return _estimate_float(poly, cfg)
+        return _estimate_exact(poly, cfg, limits)
+    return _estimate_float(poly, cfg, core, limits)
 
 
 def _check_length(ideal: MonomialIdeal, X: Sequence) -> None:
@@ -262,12 +270,12 @@ def _float_params(X: Sequence, n: int) -> list[float]:
     return xs
 
 
-def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
-    """Crude rigorous bound for the part beyond the cutoff on unbounded axes."""
+def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig, limits: list[int]) -> None:
+    """Crude rigorous bound for the part beyond the cutoff on unbounded axes,
+    exact, so it holds for any X the estimating mode accepts."""
     m, n = cfg.m, poly.n
-    xs = _float_params(cfg.X, n)
-    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
-    total = 0.0
+    xs = [Fraction(x) for x in cfg.X]
+    total = Fraction(0)
     for axis in range(n):
         if all(f.normal[axis] for f in poly.diagram_facets):
             continue
@@ -278,16 +286,16 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> None:
         total += bound
     if total > cfg.tail_tolerance:
         raise CutoffTooSmall(
-            f"estimated tail {total:.3e} beyond cutoff {cfg.ray_cutoff} exceeds "
+            f"estimated tail {float(total):.3e} beyond cutoff {cfg.ray_cutoff} exceeds "
             f"tolerance {cfg.tail_tolerance:.3e}")
 
 
-def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
+def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
+                    core: list[int], limits: list[int]) -> float:
     """The truncated sum as closed-form column sums over the cells (float64)."""
     import numpy as np
     m, n = cfg.m, poly.n
     xs = _float_params(cfg.X, n)
-    core, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     W, C = _int_facets(poly, m, limits)
 
     cells = []
@@ -332,7 +340,8 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> float:
     return (-1) ** (n + 1) * m * math.prod(xs) * math.fsum(parts)
 
 
-def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
+def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
+                    limits: list[int]) -> Fraction:
     """Exact rational value of the truncated sum.
 
     Denominators (m + a.X)^(n+1) are collected by their integer value
@@ -344,7 +353,6 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     xs = [Fraction(x) for x in cfg.X]
     L = math.lcm(*(x.denominator for x in xs))
     lx = [int(x * L) for x in xs]
-    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
     points = math.prod(limits)
@@ -379,8 +387,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig) -> Fraction:
     return front * total
 
 
-def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
-                         cfg: EstimatorConfig):
+def _estimate_bruteforce(ideal: MonomialIdeal, cfg: EstimatorConfig, limits: list[int]):
     """Literal per-point pipeline for lct_based mode (slow; a stress test).
 
     Membership of each lattice point is decided by rebuilding the
@@ -388,13 +395,12 @@ def _estimate_bruteforce(ideal: MonomialIdeal, poly: NewtonPolyhedron,
     exact, and converted to float at return in float64 mode.
     """
     m = cfg.m
-    _, limits = _axis_limits(poly, m, cfg.ray_cutoff)
     points = math.prod(max(limit, 0) for limit in limits)
-    if points > 200_000:
+    if points > MAX_LCT_POINTS:
         raise EstimateTooLarge(
             f"lct_based mode would rebuild {points} stretched ideals; lower m "
             "or ray_cutoff, or use membership_based mode")
-    xs, _ = _exact_point(cfg.X)
+    xs = [Fraction(x) for x in cfg.X]
     total = Fraction(0)
     for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
         if region_condition_via_lct(ideal, a, m):
@@ -419,11 +425,11 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
         cfg = EstimatorConfig(m=m, X=tuple(X), condition_mode=condition_mode,
                               ray_cutoff=ray_cutoff, arithmetic=arithmetic)
         start = time.perf_counter()
-        value = float(estimate(ideal, cfg))
+        value = estimate(ideal, cfg)
         elapsed = time.perf_counter() - start
         rows.append(ConvergenceRow(
             m=m, estimate=value, exact_value=exact_value,
-            abs_error=abs(value - exact_value), elapsed_time=elapsed))
+            abs_error=abs(float(value) - exact_value), elapsed_time=elapsed))
     return rows
 
 
@@ -449,6 +455,11 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     poly = newton_polyhedron(ideal)
     cutoff = scan_cutoff if scan_cutoff is not None else 4 * m
     _, limits = _axis_limits(poly, m, cutoff)
+    scanned = math.prod(limits[1:])
+    if scanned > MAX_LCT_POINTS:
+        raise EstimateTooLarge(
+            f"mode agreement would scan {scanned} lattice columns, above the limit "
+            f"of {MAX_LCT_POINTS}; lower m or scan_cutoff")
     W, C = _int_facets(poly, m, limits)
     counter = [0]
     interior = 0

@@ -51,11 +51,10 @@ SHIFT_THRESHOLD = 20.0
 _MAX_BERNOULLI = 60
 
 # Largest number of lattice columns (polygamma terms) one lattice estimate or
-# identity check may sum, and of terms one Segre series may hold; each
-# refuses above it before allocating anything.
+# identity check may sum; each refuses above it before allocating anything.
 # They sum their columns in blocks of about _CHUNK, so memory stays bounded
 # and this cap bounds time instead: 2^22 columns take about 0.2 s on a
-# 2-vCPU Xeon.
+# 2-vCPU Xeon. Segre series have their own, smaller budget.
 MAX_COLUMNS = 1 << 22
 _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -8,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from newton_segre import kernel_term
+from newton_segre import EstimatorConfig, estimate, kernel_term, make_ideal
 from newton_segre.cli import main
 from tests.conftest import subprocess_env
 
@@ -53,6 +55,31 @@ def test_estimate_csv_over_m_list(capsys):
     first = lines[1].split(",")
     assert first[0] == "50"
     assert abs(float(first[2]) - 0.24) < 1e-12
+
+
+@pytest.mark.parametrize("mode, arith", [("membership_based", "float64"),
+                                         ("membership_based", "exact_rational"),
+                                         ("lct_based", "exact_rational")])
+def test_estimate_m_prints_the_m_list_row(mode, arith, capsys):
+    """--m M prints as JSON the row that --m-list M prints as CSV."""
+    flags = ["--X", "1/3,1/2", "--mode", "lct" if mode == "lct_based" else "membership",
+             "--arith", "exact" if arith == "exact_rational" else "float"]
+    code, out, _ = run_cli(["estimate", "x1^2,x2^3", "--m", "12"] + flags, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run_cli(["estimate", "x1^2,x2^3", "--m-list", "12"] + flags, capsys)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    for key in ("m", "estimate", "exact", "abs_error"):
+        assert str(payload[key]) == row[key]
+    cfg = EstimatorConfig(m=12, X=(Fraction(1, 3), Fraction(1, 2)), condition_mode=mode,
+                          arithmetic=arith)
+    value = estimate(make_ideal(2, [(2, 0), (0, 3)]), cfg)
+    if arith == "exact_rational":
+        assert payload["estimate_rational"] == str(value)
+    else:
+        assert "estimate_rational" not in payload
+        assert payload["estimate"] == format(value, ".17g")
 
 
 def test_estimate_exact_arithmetic(capsys):
@@ -258,6 +285,8 @@ def test_estimate_requires_m(capsys):
      "InvalidInput"),
     # a series of C(10^8 + 1, 1) terms, above 2^22
     (["segre", "x1", "--ambient", "100000000"], "EstimateTooLarge"),
+    # C(65537, 1) series terms, one above 2^16
+    (["segre", "x1", "--ambient", "65536"], "EstimateTooLarge"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args

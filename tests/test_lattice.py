@@ -1,3 +1,4 @@
+import importlib
 import time
 from fractions import Fraction as F
 
@@ -10,8 +11,10 @@ from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
                           InvalidInput, NonPositiveParameter, convergence_report, estimate,
                           evaluate, kernel_term, make_ideal,
                           mode_agreement_report, segre_class)
-from newton_segre.lattice import LCT_BASED, _column_tops, _int_facets
+from newton_segre.lattice import LCT_BASED, MEMBERSHIP, _column_tops, _int_facets
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
+
+lattice = importlib.import_module("newton_segre.lattice")
 
 
 def exact_value(ideal, X):
@@ -166,9 +169,34 @@ def test_lct_mode_refuses_runaway_enumeration():
         estimate(ideal, cfg)
 
 
-def test_cutoff_too_small():
+def test_lct_budget_covers_report_and_lct_mode(monkeypatch):
+    ideal = make_ideal(2, [(2, 0), (0, 3)])
+    # at m = 6 the box is 12 x 18: 18 columns along axis 0, 216 points
+    monkeypatch.setattr(lattice, "MAX_LCT_POINTS", 17)
+    with pytest.raises(EstimateTooLarge, match="18 lattice columns"):
+        mode_agreement_report(ideal, m=6)
+    with pytest.raises(EstimateTooLarge, match="216 stretched ideals"):
+        estimate(ideal, EstimatorConfig(m=6, X=(F(1), F(1)), condition_mode=LCT_BASED))
+    monkeypatch.setattr(lattice, "MAX_LCT_POINTS", 18)
+    assert mode_agreement_report(ideal, m=6).interior_mismatches == 0
+
+
+def test_tail_check_reads_x_exactly():
+    """X_1^3 leaves float64, which lct mode sums exactly; its tail bound is
+    tiny and must not refuse the estimate."""
+    ideal, X = make_ideal(2, [(1, 1)]), (F(10 ** 110), F(1))
+    bare = EstimatorConfig(m=2, X=X, condition_mode=LCT_BASED,
+                           arithmetic="exact_rational", ray_cutoff=4)
+    checked = EstimatorConfig(m=2, X=X, condition_mode=LCT_BASED,
+                              arithmetic="exact_rational", ray_cutoff=4, tail_tolerance=1e-3)
+    assert estimate(ideal, checked) == estimate(ideal, bare) > 0
+
+
+@pytest.mark.parametrize("mode", [MEMBERSHIP, LCT_BASED])
+def test_cutoff_too_small(mode):
     ideal = make_ideal(2, [(1, 1)])
-    cfg = EstimatorConfig(m=30, X=(F(1), F(1)), ray_cutoff=50, tail_tolerance=1e-12)
+    cfg = EstimatorConfig(m=30, X=(F(1), F(1)), condition_mode=mode, ray_cutoff=50,
+                          tail_tolerance=1e-12)
     with pytest.raises(CutoffTooSmall):
         estimate(ideal, cfg)
 
