@@ -16,10 +16,9 @@ from .lattice import (EstimatorConfig, ConvergenceRow, ModeAgreement,
                       mode_agreement_report)
 from .lct import (cross_stretch_factors, diagonal_exit, lct, lct_condition,
                   region_condition_via_lct)
-from .polygamma import (BernoulliTable, bernoulli, polygamma,
-                        polygamma_extended, sum_inverse_cubes,
-                        verify_diagonal_identity, verify_power_identity,
-                        verify_two_variable_identity)
+from .polygamma import (bernoulli, polygamma, polygamma_extended,
+                        sum_inverse_cubes, verify_diagonal_identity,
+                        verify_power_identity, verify_two_variable_identity)
 from .polyhedron import (Facet, NewtonPolyhedron, contains, contains_lp,
                          in_newton_region, newton_polyhedron,
                          polyhedron_to_json)
@@ -30,7 +29,7 @@ from .simplex import feasible, solve_lp
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientTooSmall", "BernoulliTable", "ConvergenceRow",
+    "AmbientTooSmall", "ConvergenceRow",
     "CutoffTooSmall", "DegenerateFacet", "DimensionMismatch",
     "EstimateTooLarge", "EstimatorConfig", "Facet", "GeneralizedSimplex",
     "InternalInconsistency", "InvalidInput", "ModeAgreement", "MonomialIdeal",

@@ -131,21 +131,33 @@ class _Params(dict):
             raise InvalidInput(f"--params {key} is beyond the float range") from None
 
 
-def _identity_params(text: str) -> _Params:
+# the --params keys each identity reads; any other key is refused
+_IDENTITY_KEYS = {"power": ("l", "X"), "two-var": ("l", "X1", "X2"),
+                  "diagonal": ("l1", "l2", "X1", "X2")}
+
+
+def _identity_params(text: str, identity: str) -> _Params:
     params = _Params()
     for part in text.split(","):
         key, _, value = part.partition("=")
+        key = key.strip()
         if not value:
             raise InvalidInput(f"bad --params entry {part!r}, expected key=value")
+        if key in params:
+            raise InvalidInput(f"--params {key} is given twice")
+        if key not in _IDENTITY_KEYS[identity]:
+            raise InvalidInput(f"the {identity} identity reads no --params {key}")
         try:
-            params[key.strip()] = Fraction(value.strip())
+            params[key] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"bad --params value {part!r}, expected a rational") from None
     return params
 
 
 def _cmd_verify(args) -> int:
-    params = _identity_params(args.params)
+    if args.identity == "power" and args.cutoff is not None:
+        raise InvalidInput("the power identity has no tail to cut off; drop --cutoff")
+    params = _identity_params(args.params, args.identity)
     m_values = _parse_m_list(args.m_list)
     # each target is computed after the checks, which validate the parameters
     if args.identity == "power":

@@ -10,8 +10,9 @@ therefore tiles the whole region:
   * homogenizing (vertices at height 1, recession axes at height 0) turns it
     into a pointed n-cone, a face of the homogenized cone of P whose
     generators each span an extreme ray: the facet's wall in
-    NewtonPolyhedron.walls. pull_triangulation splits it on those walls into
-    simplicial cones on the original vertices and rays;
+    NewtonPolyhedron.walls, a bitmask of extreme points and axis rays.
+    pull_triangulation splits it on those walls into simplicial cones on the
+    original vertices and rays;
   * adding the origin as apex to each piece yields a generalized simplex:
     p+1 finite vertices and q axis rays with p + q = n.
 
@@ -103,12 +104,12 @@ def cone_decomposition(poly: NewtonPolyhedron,
     missing = [v for v in points if v not in order]
     if missing:
         raise InvalidInput(f"vertex_order misses the extreme points {missing}")
-    # number the extreme points in priority order, as the pulling pivot of a
-    # face is its smallest index; axis ray j keeps its index k + j
+    # renumber the extreme points' bits in priority order, as the pulling
+    # pivot of a face is its lowest bit; axis ray j keeps bit k + j
     vertices = sorted(points, key=order.index)
-    renumber = {points.index(v): i for i, v in enumerate(vertices)}
-    walls = [frozenset(renumber.get(i, i) for i in range(k + poly.n) if wall >> i & 1)
-             for wall in poly.walls]
+    renumber = [1 << vertices.index(v) for v in points]
+    walls = [sum(bit for i, bit in enumerate(renumber) if wall >> i & 1)
+             | wall >> k << k for wall in poly.walls]
 
     origin = (0,) * poly.n
     pieces: list[GeneralizedSimplex] = []

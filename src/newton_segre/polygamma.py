@@ -36,7 +36,6 @@ cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
@@ -60,24 +59,9 @@ _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Even-index Bernoulli numbers B_2, B_4, ..., B_2K as exact rationals."""
-
-    even_values: tuple[Fraction, ...]
-
-    def b2k(self, k: int) -> Fraction:
-        if k < 1 or k > len(self.even_values):
-            raise IndexError(f"B_{2 * k} not tabulated")
-        return self.even_values[k - 1]
-
-    def __len__(self) -> int:
-        return len(self.even_values)
-
-
 @lru_cache(maxsize=8)
-def bernoulli(K: int) -> BernoulliTable:
-    """Exact table of B_2..B_2K from the tangent numbers T_k.
+def bernoulli(K: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_2K as exact rationals, from the tangent numbers T_k.
 
     The T_k come from an integer-only recurrence (Brent and Harvey, "Fast
     computation of Bernoulli, tangent and secant numbers", 2011), and
@@ -91,9 +75,8 @@ def bernoulli(K: int) -> BernoulliTable:
     for k in range(2, K + 1):
         for j in range(k, K + 1):
             tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    return BernoulliTable(tuple(
-        Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
-        for k in range(1, K + 1)))
+    return tuple(Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
+                 for k in range(1, K + 1))
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +91,7 @@ def _horner_coefficients(r: int) -> tuple[float, ...]:
     x2 = int(SHIFT_THRESHOLD) ** 2
     for size in (16, _MAX_BERNOULLI):
         coeffs = []
-        for k, b in enumerate(bernoulli(size).even_values, start=1):
+        for k, b in enumerate(bernoulli(size), start=1):
             num = b.numerator * math.factorial(r + 2 * k - 1)
             den = b.denominator * math.factorial(2 * k)
             if abs(num) << 60 < math.factorial(r - 1) * x2 ** k * den:
@@ -195,7 +178,7 @@ def polygamma_extended(r: int, x: float) -> float:
     table = bernoulli(_MAX_BERNOULLI)
     prev = abs(rfact * shifted ** (-r - 1) / 2)
     for k in range(1, _MAX_BERNOULLI + 1):
-        frac = table.b2k(k) * Fraction(math.factorial(r + 2 * k - 1),
+        frac = table[k - 1] * Fraction(math.factorial(r + 2 * k - 1),
                                        math.factorial(2 * k))
         term = sign * (ld(frac.numerator) / ld(frac.denominator)) \
             * shifted ** ld(-r - 2 * k)

@@ -14,8 +14,9 @@ rationals. Membership and facet decisions are sign decisions and must not
 depend on tolerances. The facets are found once, by cone_facets on the
 homogenization of every generator, with their zero sets: the walls, the
 face lattice that decompose triangulates and that decides which generators
-are extreme. Walls are bitmasks, as polyhedra are cached and kept: a small
-frozenset takes 216 bytes, an int below 2^30 at most 28.
+are extreme. Walls are bitmasks, the one face encoding from cone_facets to
+pull_triangulation; polyhedra are cached and kept, and an int below 2^30
+takes at most 28 bytes, against 216 for a small frozenset.
 
 contains_lp decides membership by simplex.feasible, the packing LP over the
 ideal's generators; it never reads the facets, so it checks the facet route
@@ -72,10 +73,6 @@ class NewtonPolyhedron:
     @property
     def diagram_facets(self) -> tuple[Facet, ...]:
         return tuple(f for f in self.facets if f.is_diagram)
-
-    @property
-    def coordinate_facets(self) -> tuple[Facet, ...]:
-        return tuple(f for f in self.facets if not f.is_diagram)
 
 
 @lru_cache(maxsize=512)

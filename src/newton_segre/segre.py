@@ -54,9 +54,6 @@ class SegreClassResult:
     pushforward: tuple[int, ...]
     pieces: tuple[GeneralizedSimplex, ...]
 
-    def pushforward_strings(self) -> list[str]:
-        return [str(c) for c in self.pushforward]
-
 
 def integrate_piece(piece: GeneralizedSimplex, nvars: int,
                     degree_bound: int) -> TruncatedSeries:

@@ -287,6 +287,18 @@ def test_estimate_requires_m(capsys):
     (["segre", "x1", "--ambient", "100000000"], "EstimateTooLarge"),
     # C(65537, 1) series terms, one above 2^16
     (["segre", "x1", "--ambient", "65536"], "EstimateTooLarge"),
+    # verify refuses what it would ignore: a repeated key, a key the identity
+    # does not read, a cutoff for the tail-free power identity
+    (["verify", "--identity", "diagonal", "--params", "l1=2,l2=3,X1=1/3,X2=1/2,l2=4",
+      "--m-list", "5"], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2,l=3", "--m-list", "5"],
+     "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2,X2=1", "--m-list", "5"],
+     "InvalidInput"),
+    (["verify", "--identity", "two-var", "--params", "l=2,X1=1/3,X2=1/2,l1=1",
+      "--m-list", "5"], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2", "--m-list", "5",
+      "--cutoff", "100"], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args
@@ -340,3 +352,21 @@ def test_estimate_too_large_is_refused(args, cost, capsys):
     payload = json.loads(line)
     assert payload["error"] == "EstimateTooLarge"
     assert cost in payload["message"]
+
+
+def test_facet_search_budget(capsys):
+    """The maximal ideal in 11 variables needs C(22, 11) = 705,432 subsets,
+    above MAX_FACET_SUBSETS: refused at once. In 10 variables, C(20, 10) =
+    184,756 subsets, it is still searched."""
+    start = time.perf_counter()
+    code, out, err = run_cli(["lct", ",".join(f"x{i}" for i in range(1, 12))], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["error"] == "EstimateTooLarge"
+    assert "705432" in payload["message"]
+
+    code, out, err = run_cli(["lct", ",".join(f"x{i}" for i in range(1, 11))], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lct"] == "10"

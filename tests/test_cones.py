@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import newton_segre
-from newton_segre import cone_decomposition, linalg, make_ideal, segre_class
+from newton_segre import (TruncatedSeries, cone_decomposition, integrate_piece, linalg,
+                          make_ideal, segre_class)
 from newton_segre.cones import canonical_normal, cone_facets, pull_triangulation
 from newton_segre.decompose import make_piece
 from newton_segre.linalg import dot, kernel_basis, rref
@@ -103,6 +104,20 @@ def test_triangulation_matches_geometric_oracle(case):
     assert cone_decomposition(poly, order) == _oracle_decomposition(poly, order)
 
 
+def test_n6_triangulation_matches_geometric_oracle():
+    """Hypothesis stops at n = 5; the n = 6 ideal N6_EIGHT in two vertex
+    orders, each summing to the same pinned pushforward."""
+    poly = newton_polyhedron(N6_EIGHT)
+    for order, count in ((None, 99), (sorted(poly.extreme_points, reverse=True), 106)):
+        pieces = cone_decomposition(poly, order)
+        assert pieces == _oracle_decomposition(poly, order)
+        assert len(pieces) == count
+        total = TruncatedSeries.zero(6, 6)
+        for piece in pieces:
+            total = total + integrate_piece(piece, 6, 6)
+        assert total.pushforward(6) == (0, 58, -745, 5198, 4687, -878553)
+
+
 def _count_calls(monkeypatch, function, calls):
     """Count calls of function through every package namespace holding it."""
     def counting(*args):
@@ -138,9 +153,10 @@ def test_pull_triangulation_does_no_linear_algebra(monkeypatch):
         _count_calls(monkeypatch, getattr(linalg, name), calls)
     # the homogenized cone of P = conv{(0,2), (1,1), (3,0)} + orthant:
     # generators (0,2,1), (1,1,1), (3,0,1), (1,0,0), (0,1,0), and its facets
-    # as generator sets: two diagram edges, two axes, the hyperplane at infinity
-    walls = [frozenset(w) for w in ({0, 1}, {1, 2}, {0, 4}, {2, 3}, {3, 4})]
-    assert pull_triangulation(frozenset(range(5)), walls) == [[2, 1, 0], [3, 2, 0], [4, 3, 0]]
+    # as generator bitmasks: two diagram edges, two axes, the hyperplane at
+    # infinity
+    walls = [sum(1 << i for i in w) for w in ({0, 1}, {1, 2}, {0, 4}, {2, 3}, {3, 4})]
+    assert pull_triangulation(0b11111, walls) == [[2, 1, 0], [3, 2, 0], [4, 3, 0]]
     assert calls == []
 
 

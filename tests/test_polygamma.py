@@ -29,17 +29,15 @@ def direct_series(r: int, x: float, terms: int = 10 ** 7) -> float:
 
 def test_bernoulli_first_values():
     table = bernoulli(8)
-    assert table.b2k(1) == F(1, 6)
-    assert table.b2k(2) == F(-1, 30)
-    assert table.b2k(3) == F(1, 42)
-    assert table.b2k(6) == F(-691, 2730)
+    assert table[:3] == (F(1, 6), F(-1, 30), F(1, 42))
+    assert table[5] == F(-691, 2730)
 
 
 def test_bernoulli_against_sympy():
     table = bernoulli(12)
     for k in range(1, 13):
         ref = sympy.bernoulli(2 * k)
-        assert table.b2k(k) == F(int(sympy.numer(ref)), int(sympy.denom(ref)))
+        assert table[k - 1] == F(int(sympy.numer(ref)), int(sympy.denom(ref)))
 
 
 def test_psi1_at_one_is_zeta_two():

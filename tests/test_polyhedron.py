@@ -27,7 +27,7 @@ def test_translated_orthant():
     poly = newton_polyhedron(make_ideal(2, [(1, 1)]))
     assert poly.extreme_points == ((1, 1),)
     assert diagram(poly) == {((F(1), F(0)), F(1)), ((F(0), F(1)), F(1))}
-    assert poly.coordinate_facets == ()
+    assert all(f.is_diagram for f in poly.facets)
 
 
 def test_two_generator_staircase():

@@ -105,16 +105,16 @@ def test_region_and_polyhedron_partition_unity():
         X = [F(1, k + 2) for k in range(n)]
 
         # the homogenized cone of P: extreme points (v, 1) then axis rays
-        # (e_k, 0); its facets as generator sets are those of P, each with
+        # (e_k, 0); its facets as generator bitmasks are those of P, each with
         # the rays parallel to it, and the hyperplane at infinity
         k = len(poly.extreme_points)
-        walls = [frozenset([i for i, v in enumerate(poly.extreme_points)
-                            if f.value(v) == f.offset]
-                           + [k + axis for axis in range(n) if f.normal[axis] == 0])
+        walls = [sum(1 << i for i, v in enumerate(poly.extreme_points)
+                     if f.value(v) == f.offset)
+                 + sum(1 << (k + axis) for axis in range(n) if f.normal[axis] == 0)
                  for f in poly.facets]
-        walls.append(frozenset(range(k, k + n)))
+        walls.append(sum(1 << (k + axis) for axis in range(n)))
         over_polyhedron = F(0)
-        for idx in pull_triangulation(frozenset(range(k + n)), walls):
+        for idx in pull_triangulation((1 << (k + n)) - 1, walls):
             verts = [poly.extreme_points[i] for i in idx if i < k]
             rays = [i - k for i in idx if i >= k]
             piece = make_piece([tuple(F(c) for c in v) for v in verts], rays)
@@ -195,7 +195,7 @@ def test_random_n5_ideal_pinned():
     ideal = make_ideal(5, [(0, 2, 2, 3, 3), (0, 2, 4, 4, 1), (1, 0, 4, 2, 0),
                            (2, 1, 1, 1, 4), (2, 2, 0, 4, 4), (4, 1, 1, 1, 1)])
     result = segre_class(ideal, ambient_dim=5)
-    assert result.pushforward_strings() == ["1", "29", "-379", "3005", "-13783"]
+    assert result.pushforward == (1, 29, -379, 3005, -13783)
     assert len(result.pieces) == 34
 
     poly = newton_polyhedron(ideal)
