@@ -146,6 +146,9 @@ def parse_ideal(source: str | dict, n: int | None = None) -> MonomialIdeal:
             raise ParseError(f"bad JSON: {exc.msg}", exc.pos) from exc
         return _ideal_from_json(payload, n)
 
+    split = re.search(r"\d(\s+)\d", text)
+    if split:  # deleting it would join two numbers: "x1 2" is not x12
+        raise ParseError("whitespace between two digits", split.start(1))
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise ParseError("empty input", 0)

@@ -381,10 +381,12 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
             counts[v] = counts.get(v, 0) + c
 
     front = Fraction(m * math.factorial(n) * math.prod(xs)) * Fraction(L) ** (n + 1)
-    total = Fraction(0)
-    for k in sorted(counts):
-        total += Fraction(counts[k], k ** (n + 1))
-    return front * total
+    # sum of c / k^(n+1) as one unreduced integer pair, reduced once at the end
+    num, den = 0, 1
+    for k, c in counts.items():
+        q = k ** (n + 1)
+        num, den = num * q + c * den, den * q
+    return front * Fraction(num, den)
 
 
 def _estimate_bruteforce(ideal: MonomialIdeal, cfg: EstimatorConfig, limits: list[int]):

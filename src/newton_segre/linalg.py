@@ -1,13 +1,13 @@
 """Small exact linear algebra on integer rows, by fraction-free elimination.
 
 rref, rank, kernel_basis and det are views of one fraction-free Gauss-Jordan
-(Bareiss) elimination. Rows of int or Fraction are first scaled row by row
-to integers (which changes neither the row space nor the pivots); after the
-elimination every pivot equals the same integer D, every division is exact
-and the reduced row echelon form is the integer matrix divided by D.
-kernel_basis therefore returns integer vectors, and dot keeps its input
-types, so integer vectors give an int. Matrices are desk-scale (a few
-rows/columns wide).
+(Bareiss) elimination, whose row update _pivot is the package's one pivot
+step (the simplex tableau uses it too). Rows of int or Fraction are first
+scaled row by row to integers (which changes neither the row space nor the
+pivots); after the elimination every pivot equals the same integer D, every
+division is exact and the reduced row echelon form is the integer matrix
+divided by D. kernel_basis therefore returns integer vectors, and dot keeps
+its input types, so integer vectors give an int. Matrices are desk-scale.
 """
 
 from __future__ import annotations
@@ -18,10 +18,6 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InvalidInput
-
-Row = list[Fraction | int]
-Matrix = list[Row]
-
 
 def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
     """Rows scaled to integers, and the product of the row scales."""
@@ -37,19 +33,31 @@ def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[i
     return out, scale
 
 
+def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step on m[r][c], in place.
+
+    Every row but r becomes (p * row - row[c] * m[r]) / prev for p = m[r][c];
+    returns p, the new common pivot. Started at prev = 1 on an integer matrix,
+    every entry stays a minor of it, so each division is exact."""
+    top = m[r]
+    p = top[c]
+    for i, row in enumerate(m):
+        f = row[c]
+        if i != r and (f or p != prev):  # otherwise the row would not change
+            m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+    return p
+
+
 def _eliminate(m: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Returns (m, pivots, D, sign). Row r < len(pivots) has D in pivot column
     pivots[r] and 0 in the other pivot columns; the rows below are zero; D is
     1 when there is no pivot. sign is the parity of the row swaps, so a
-    square matrix of full rank has determinant sign * D.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    square matrix of full rank has determinant sign * D."""
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    prev = sign = 1
-    r = 0
+    r, prev, sign = 0, 1, 1
     for c in range(ncols):
         for i in range(r, nrows):
             if m[i][c]:
@@ -59,14 +67,7 @@ def _eliminate(m: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
         if i != r:
             m[r], m[i] = m[i], m[r]
             sign = -sign
-        top = m[r]
-        p = top[c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i == r or (not f and p == prev):  # the row would not change
-                continue
-            m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
-        prev = p
+        prev = _pivot(m, r, c, prev)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -74,11 +75,9 @@ def _eliminate(m: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
     return m, pivots, prev, sign
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
-
-    Integral entries come back as int, the others as Fraction.
-    """
+def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction | int]], list[int]]:
+    """Reduced row echelon form and its pivot column indices; integral
+    entries come back as int, the others as Fraction."""
     m, pivots, d, _sign = _eliminate(_integer_rows(rows)[0])
     return [[x // d if x % d == 0 else Fraction(x, d) for x in row]
             for row in m], pivots
@@ -92,8 +91,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     """Integer basis of the right null space of the given matrix.
 
     The vector for free column f has D at f, -M[r][f] at pivot column r and
-    0 at the other free columns, where M is the eliminated integer matrix.
-    """
+    0 at the other free columns, where M is the eliminated integer matrix."""
     if not rows:
         return []
     ncols = len(rows[0])

@@ -9,31 +9,27 @@ exactly when the optimum is at least 1: the optimal lambda scaled to sum 1
 is a convex combination below p. As p >= 0 the slack basis is a feasible
 start, and as no v_j is zero the optimum is finite.
 
-The tableau is dense over fractions.Fraction. Pivots follow Bland's rule:
-the entering column is the first with a negative reduced cost, and ties in
-the ratio test go to the smallest basic index. The LP can be degenerate
-(ties in the ratio test), and Bland's rule rules out cycling, so every
-solve terminates and takes the same pivots on every run.
+The tableau holds only ints: rows [v_j | I | L*p], L the lcm of the target's
+denominators, and the reduced costs as the last row. It pivots only through
+linalg._pivot, the fraction-free (Bareiss) step, so each entry is D times
+its rational value for the target L*p, where D > 0, the last pivot, is the
+determinant of the basis (Edmonds 1967). Entries are minors of the starting
+matrix, so each division is exact; signs and the order of the ratios
+rhs/entry are the rational ones, so Bland's rule (the first column with a
+negative reduced cost enters; ties in the ratio test go to the smallest
+basic index) takes the same pivots, and the optimum is the objective entry
+over D*L. Bland's rule rules out cycling on degenerate LPs, so every solve
+terminates and takes the same pivots on every run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
-
-
-def _pivot(T: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    inv = T[r][c]
-    T[r] = [x / inv for x in T[r]]
-    for i, row in enumerate(T):
-        if i != r and row[c] != 0:
-            f = row[c]
-            T[i] = [a - f * b for a, b in zip(row, T[r])]
-    basis[r] = c
+from .linalg import _pivot
 
 
 def solve_lp(points: Sequence[Sequence[int]],
@@ -49,25 +45,28 @@ def solve_lp(points: Sequence[Sequence[int]],
         raise InvalidInput(f"packing LP target {tuple(p)} has a negative coordinate")
     if not all(any(v) for v in points):
         raise InvalidInput("packing LP over a zero point is unbounded")
-    k = len(points)
-    # columns: lambda_1..lambda_k | slack_1..slack_n | rhs
-    T = [[Fraction(v[i]) for v in points]
-         + [_ONE if j == i else _ZERO for j in range(n)] + [Fraction(p[i])] for i in range(n)]
-    basis = list(range(k, k + n))
-    # reduced costs of min -sum lambda; the last entry is the objective sum lambda
-    z = [-_ONE] * k + [_ZERO] * (n + 1)
+    k, p = len(points), [Fraction(x) for x in p]  # a float reads as the rational it stores
+    L = lcm(*(x.denominator for x in p))
+    # columns: lambda_1..lambda_k | slack_1..slack_n | rhs; the last row holds
+    # the reduced costs of min -sum lambda, then the objective sum lambda
+    T = [[v[i] for v in points] + [int(j == i) for j in range(n)]
+         + [x.numerator * (L // x.denominator)] for i, x in enumerate(p)]
+    T.append([-1] * k + [0] * (n + 1))
+    basis, d = list(range(k, k + n)), 1
     while True:
-        entering = next((c for c in range(k + n) if z[c] < 0), None)
-        if entering is None:
-            return z[-1]
-        ratios = [(row[-1] / row[entering], basis[r], r)
-                  for r, row in enumerate(T) if row[entering] > 0]
-        if not ratios:
+        c = next((c for c, z in enumerate(T[-1][:-1]) if z < 0), None)
+        if c is None:
+            return Fraction(T[-1][-1], d * L)
+        rows = [r for r in range(n) if T[r][c] > 0]
+        if not rows:
             raise InternalInconsistency("packing LP over non-zero points is unbounded")
-        _, _, leaving = min(ratios)
-        f = z[entering]
-        _pivot(T, basis, leaving, entering)
-        z = [a - f * t for a, t in zip(z, T[leaving])]
+        leaving = rows[0]
+        for r in rows[1:]:  # least ratio T[r][-1] / T[r][c], then least basic index
+            x = T[r][-1] * T[leaving][c] - T[leaving][-1] * T[r][c]
+            if x < 0 or (x == 0 and basis[r] < basis[leaving]):
+                leaving = r
+        basis[leaving] = c
+        d = _pivot(T, leaving, c, d)
 
 
 def feasible(points: Sequence[Sequence[int]], target: Sequence[Fraction | int]) -> bool:

@@ -95,6 +95,14 @@ def test_parse_whitespace_and_implicit_star():
     assert parse_ideal(" x1 ^2 ,x1 x2 ") == parse_ideal("x1^2,x1*x2")
 
 
+@pytest.mark.parametrize("text, position", [("x1 2", 2), ("x1^2 3, x2", 4)])
+def test_parse_whitespace_between_digits_is_an_error(text, position):
+    # removing the whitespace would read x12 and x1^23
+    with pytest.raises(ParseError) as err:
+        parse_ideal(text)
+    assert err.value.position == position
+
+
 def test_parse_repeated_variable_accumulates():
     assert parse_ideal("x1*x1").generators == ((2,),)
 
