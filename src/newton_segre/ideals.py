@@ -3,13 +3,19 @@
 A monomial ideal in n variables is stored by its minimal generators: a
 nonempty set of integer exponent vectors, none of which dominates another
 componentwise, and never the zero vector (the ideal must be proper).
-Exponent vectors are plain tuples of non-negative ints.
+Exponent vectors are plain tuples of non-negative ints; an n above
+MAX_VARIABLES is refused before any of them is built.
+
+Text is read by one token regex over the string as passed: factors x<i> and
+x<i>^<e> (whitespace around x and ^, never inside a number), '*', ',' and
+any other character, a ParseError at its own index in that string.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Sequence
@@ -18,6 +24,12 @@ from .errors import DimensionMismatch, InvalidInput, ParseError, ZeroGenerator
 
 ExponentVector = tuple[int, ...]
 StretchFactors = tuple[int, ...]
+
+# Most variables an ideal may have. The Newton polyhedron homogenizes into an
+# (n + k) x (n + 1) matrix and its facet search grows about as n^3: `lct x1
+# --n 128` takes 0.48 s and `--n 200` 2.1 s on a 2-vCPU Xeon, while `--n
+# 100000` runs out of memory.
+MAX_VARIABLES = 128
 
 
 @dataclass(frozen=True)
@@ -30,12 +42,8 @@ class MonomialIdeal:
 
 
 def monomial_str(exponents: Sequence[int]) -> str:
-    factors = [
-        f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-        for i, e in enumerate(exponents)
-        if e > 0
-    ]
-    return "*".join(factors) if factors else "1"
+    factors = [f"x{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exponents) if e > 0]
+    return "*".join(factors) or "1"
 
 
 def _dominates(a: ExponentVector, b: ExponentVector) -> bool:
@@ -59,10 +67,11 @@ def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal
     """Build a proper monomial ideal, dropping dominated generators.
 
     Raises ZeroGenerator when the zero vector appears (the ideal would be the
-    unit ideal) and DimensionMismatch on bad vector lengths.
+    unit ideal) and DimensionMismatch on bad vector lengths, or on an n
+    outside 1..MAX_VARIABLES before the first generator is read.
     """
-    if n < 1:
-        raise DimensionMismatch(f"need at least one variable, got n={n}")
+    if not 1 <= n <= MAX_VARIABLES:
+        raise DimensionMismatch(f"an ideal has 1 to {MAX_VARIABLES} variables, got n={n}")
     gens: set[ExponentVector] = set()
     for raw in raw_generators:
         vec = _integers(raw, "generator exponents")
@@ -75,11 +84,8 @@ def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal
         gens.add(vec)
     if not gens:
         raise InvalidInput("a monomial ideal needs at least one generator")
-    minimal = tuple(sorted(
-        g for g in gens
-        if not any(h != g and _dominates(g, h) for h in gens)
-    ))
-    return MonomialIdeal(n, minimal)
+    minimal = sorted(g for g in gens if not any(h != g and _dominates(g, h) for h in gens))
+    return MonomialIdeal(n, tuple(minimal))
 
 
 def stretch(ideal: MonomialIdeal, factors: Sequence[int]) -> MonomialIdeal:
@@ -92,78 +98,61 @@ def stretch(ideal: MonomialIdeal, factors: Sequence[int]) -> MonomialIdeal:
     return make_ideal(ideal.n, [tuple(ri * e for ri, e in zip(r, g)) for g in ideal.generators])
 
 
-_FACTOR = re.compile(r"x(\d+)(?:\^(\d+))?")
+# One token of ideal text: whitespace, a factor (digits missing after x or ^
+# are an error where they should be) or any other single character.
+_TOKEN = re.compile(r"(?P<space>\s+)|(?P<factor>x\s*(\d*)(?:\s*\^\s*(\d*))?)|.", re.DOTALL)
 
 
-def _parse_generator(text: str, offset: int, n_hint: int | None) -> dict[int, int]:
-    exps: dict[int, int] = {}
-    pos = 0
-    stripped = text
-    expect_factor = True
-    while pos < len(stripped):
-        ch = stripped[pos]
-        if ch == "*":
-            if expect_factor:
-                raise ParseError("unexpected '*'", offset + pos)
-            expect_factor = True
-            pos += 1
+def _read_generators(text: str) -> list[dict[int, int]]:
+    """The generators of ideal text, each as {variable index from 0: exponent}."""
+    gens, last = [{}], ","
+    for tok in _TOKEN.finditer(text):
+        char, at = tok.group(), tok.start()
+        if tok.lastgroup == "factor":
+            var, power = tok.group(3, 4)
+            if not var or power == "":
+                raise ParseError("expected a number", tok.end(4 if var else 3))
+            try:
+                i, e = int(var), int(power or 1)
+            except ValueError:  # above the interpreter's int-from-str digit limit
+                raise ParseError(f"more than {sys.get_int_max_str_digits()} digits", at) from None
+            if i < 1:
+                raise ParseError("variable indices start at x1", at)
+            gens[-1][i - 1] = gens[-1].get(i - 1, 0) + e
+        elif tok.lastgroup == "space":
             continue
-        m = _FACTOR.match(stripped, pos)
-        if not m:
-            raise ParseError(f"expected a factor like x1 or x2^3, found {stripped[pos:]!r}",
-                             offset + pos)
-        index = int(m.group(1))
-        if index < 1:
-            raise ParseError("variable indices start at x1", offset + pos)
-        power = int(m.group(2)) if m.group(2) else 1
-        exps[index - 1] = exps.get(index - 1, 0) + power
-        expect_factor = False
-        pos = m.end()
-    if expect_factor:
-        raise ParseError("empty generator", offset)
-    if n_hint is not None:
-        for idx in exps:
-            if idx >= n_hint:
-                raise DimensionMismatch(
-                    f"variable x{idx + 1} out of range for n={n_hint}")
-    return exps
+        elif char not in ("*", ",") or last in ("*", ","):
+            raise ParseError(f"expected a factor like x1 or x2^3, found {char!r}", at)
+        elif char == ",":
+            gens.append({})
+        last = char
+    if last in ("*", ","):
+        raise ParseError("expected a factor like x1 or x2^3 at the end", len(text))
+    return gens
 
 
 def parse_ideal(source: str | dict, n: int | None = None) -> MonomialIdeal:
     """Parse an ideal from text like "x1^2, x1*x2" or from the JSON form.
 
     The JSON form is {"n": 2, "generators": [[2, 0], [1, 1]]}. For text, the
-    variable count is inferred from the highest index mentioned unless n is
-    given explicitly.
+    variable count is the highest index mentioned unless n is given. A
+    ParseError's position is an index into source as passed.
     """
     if isinstance(source, dict):
         return _ideal_from_json(source, n)
-    text = source.strip()
-    if text.startswith("{"):
+    if source.lstrip().startswith("{"):
         try:
-            payload = json.loads(text)
+            payload = json.loads(source)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.pos) from exc
         return _ideal_from_json(payload, n)
-
-    split = re.search(r"\d(\s+)\d", text)
-    if split:  # deleting it would join two numbers: "x1 2" is not x12
-        raise ParseError("whitespace between two digits", split.start(1))
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise ParseError("empty input", 0)
-    parts = compact.split(",")
-    parsed: list[dict[int, int]] = []
-    offset = 0
-    for part in parts:
-        if not part:
-            raise ParseError("empty generator", offset)
-        parsed.append(_parse_generator(part, offset, n))
-        offset += len(part) + 1
-    inferred = max((max(exps, default=-1) for exps in parsed), default=-1) + 1
-    width = n if n is not None else max(inferred, 1)
-    gens = [tuple(exps.get(i, 0) for i in range(width)) for exps in parsed]
-    return make_ideal(width, gens)
+    gens = _read_generators(source)
+    widest = max(map(max, gens)) + 1
+    if n is not None and widest > n:
+        raise DimensionMismatch(f"variable x{widest} out of range for n={n}")
+    width = widest if n is None else n
+    # lazily, so that make_ideal refuses the width before any tuple is built
+    return make_ideal(width, (tuple(g.get(i, 0) for i in range(width)) for g in gens))
 
 
 def _ideal_from_json(payload: dict, n: int | None) -> MonomialIdeal:

@@ -31,9 +31,10 @@ with y = (m + sum_{j != k} a_j X_j) / X_k, evaluated by the vectorized
 polygamma kernel. The inner axis is the longest one of the cell (one of S
 when S is not empty), so the cost is the number of columns: O(m^(n-1)) for
 a bounded region, and a factor of the cutoff more for every tail axis
-beyond the first in a cell. The columns of all cells are counted before
-anything is allocated, and more than MAX_COLUMNS of them raise
-EstimateTooLarge with the count. A cell's columns are then summed in
+beyond the first in a cell. Axes with r_i = 0 are in every S and bounded
+ones (r_i = L_i) in none, so only the rest are walked; more than MAX_COLUMNS
+cells, or columns counted past it, raise EstimateTooLarge with the count
+before anything is allocated. A cell's columns are then summed in
 blocks: its outer grid is split along its longest axis into runs of whole
 rows of about 2^13 columns (the polygamma module's private block size), or
 one row where a row is wider. Under the MAX_COLUMNS cap a row holds at most
@@ -298,22 +299,27 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     xs = _float_params(cfg.X, n)
     W, C = _int_facets(poly, m, limits)
 
-    cells = []
-    columns = 0
-    for tail in itertools.product((False, True), repeat=n):
+    free = [i for i in range(n) if 0 < core[i] < limits[i]]  # the rest are fixed
+    if 2 ** len(free) > MAX_COLUMNS:
+        raise EstimateTooLarge(f"float estimate would walk {2 ** len(free)} cells, above "
+                               f"the limit of {MAX_COLUMNS}")
+    cells, columns = [], 0
+    for chosen in itertools.product((False, True), repeat=len(free)):
+        picked = dict(zip(free, chosen))
+        tail = [picked.get(i, core[i] == 0) for i in range(n)]
         ranges = [(core[i] + 1, limits[i]) if tail[i] else (1, core[i])
                   for i in range(n)]
-        rows = np.all(W[:, list(tail)] == 0, axis=1)
+        rows = np.all(W[:, tail] == 0, axis=1)
         if any(lo > hi for lo, hi in ranges) or not rows.any():
             continue
         k = max((i for i in range(n) if tail[i] or not any(tail)),
                 key=lambda i: ranges[i][1] - ranges[i][0])
         cells.append((rows, ranges, k))
         columns += math.prod(hi - lo + 1 for j, (lo, hi) in enumerate(ranges) if j != k)
-    if columns > MAX_COLUMNS:
-        raise EstimateTooLarge(
-            f"float estimate needs {columns} lattice columns, above the limit of "
-            f"{MAX_COLUMNS}; lower m or ray_cutoff")
+        if columns > MAX_COLUMNS:
+            raise EstimateTooLarge(
+                f"float estimate needs at least {columns} lattice columns, above the "
+                f"limit of {MAX_COLUMNS}; lower m or ray_cutoff")
 
     parts = []
     for rows, ranges, k in cells:

@@ -115,9 +115,11 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
             f"the series to degree {ambient_dim} in {n} variables holds {terms} terms, "
             f"above the limit of {MAX_SERIES_TERMS}; lower the ambient dimension")
     pieces = tuple(cone_decomposition(newton_polyhedron(ideal)))
-    total = TruncatedSeries.zero(n, ambient_dim)
+    coeffs: dict[tuple[int, ...], int] = {}
     for piece in pieces:
-        total = total + integrate_piece(piece, n, ambient_dim)
+        for exp, c in integrate_piece(piece, n, ambient_dim).coeffs.items():
+            coeffs[exp] = coeffs.get(exp, 0) + c
+    total = TruncatedSeries(n, ambient_dim, coeffs)
     return SegreClassResult(
         ideal=ideal,
         ambient_dim=ambient_dim,

@@ -75,6 +75,18 @@ def test_float_estimate_memory_is_bounded(monkeypatch):
     assert peak < 2 * MiB
 
 
+def test_float_estimate_refuses_a_long_cell_walk(monkeypatch):
+    # x1 in 24 variables: x2..x24 are seen by no facet and always take the
+    # tail, x1 is bounded and never does, so the one cell is counted at once
+    with pytest.raises(EstimateTooLarge, match=f"{2 * 40 ** 22} lattice columns"):
+        float_estimate([(1,) + (0,) * 23], 2, (1,) * 24)
+    # both axes are unbounded and seen by a facet: four cells to walk
+    assert float_estimate([(1, 1)], 3, (F(1, 2), F(1, 3))) > 0
+    monkeypatch.setattr(lattice, "MAX_COLUMNS", 3)
+    with pytest.raises(EstimateTooLarge, match="walk 4 cells"):
+        float_estimate([(1, 1)], 3, (F(1, 2), F(1, 3)))
+
+
 def test_exact_estimate_memory_is_bounded():
     gens, X = [(2, 0), (0, 2)], (F(1, 2), F(1, 3))
     exact_estimate(gens, 20, X)  # imports and caches

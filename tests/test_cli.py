@@ -370,3 +370,19 @@ def test_facet_search_budget(capsys):
     code, out, err = run_cli(["lct", ",".join(f"x{i}" for i in range(1, 11))], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["lct"] == "10"
+
+
+@pytest.mark.parametrize("args", [
+    ["lct", "x99999999999999999999"],
+    ["lct", "x1", "--n", "100000000000000000000"],
+    ["lct", '{"n": 100000, "generators": [[1]]}'],
+    ["estimate", "x1", "--n", "24", "--m", "2", "--X", ",".join(["1"] * 24)],
+], ids=["index", "n", "json", "estimate-cells"])
+def test_oversized_input_is_refused_at_once(args, capsys):
+    """Each was a MemoryError, an OOM kill or a walk of 2^24 cells."""
+    start = time.perf_counter()
+    code, out, err = run_cli(args, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert set(json.loads(line)) == {"error", "message"}

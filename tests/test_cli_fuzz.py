@@ -25,8 +25,9 @@ _VALID_IDEALS = [("x1^2,x2^3", 2), ("x1*x2", 2), ("x1", 1), ("x1^2,x1*x2,x2^2", 
                  # facet values beyond int64 at any m, and exponents beyond it
                  ("x1^2,x2^1000000000000000000", 2), ("x1^2,x2^10000000000000000000", 2)]
 _IDEALS = st.sampled_from([text for text, _ in _VALID_IDEALS] + [
-    "x1^", "", "x0", "x1^0", "x1,,x2", '{"n":2}', "x1*x3", "x1 2", "x1^2 3, x2"])
-_N = st.sampled_from(["2", "3", "0", "a"])
+    "x1^", "", "x0", "x1^0", "x1,,x2", '{"n":2}', "x1*x3", "x1 2", "x1^2 3, x2",
+    "x99999999999999999999", "x1 ^ 2", " x1,\tx2", "x1^2 3"])
+_N = st.sampled_from(["2", "3", "0", "a", "100000000000000000000"])
 _M = st.sampled_from(["1", "3", "8", "20", "0", "a", "1" + "0" * 30])
 _M_LIST = st.sampled_from(["2,4", "5,10", "3", "4,2", "", "a"])
 _X_ENTRY = st.one_of(
