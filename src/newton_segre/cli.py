@@ -112,70 +112,63 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-class _Params(dict):
-    """--params values as exact rationals, read back as int or float."""
+# Each identity: its --params keys in reading order (l* integers, X* floats),
+# its check at one m and tail cutoff, and its closed-form target. The checks
+# are lambdas, so they look each function up by this module's name per call.
+_IDENTITIES = {
+    "power": (("l", "X"),
+              lambda ell, X, m, cutoff: verify_power_identity(ell, X, m),
+              # the power check returns the limit argument, whose target is 1/(1+lX)
+              lambda ell, X: 1 / (1 + ell * X)),
+    "two-var": (("l", "X1", "X2"),
+                lambda ell, X1, X2, m, cutoff: verify_two_variable_identity(
+                    ell, X1, X2, m, tail_cutoff=cutoff),
+                lambda ell, X1, X2: ell * X1 / (1 + ell * X1)),
+    "diagonal": (("l1", "l2", "X1", "X2"),
+                 lambda l1, l2, X1, X2, m, cutoff: verify_diagonal_identity(
+                     l1, l2, X1, X2, m, tail_cutoff=cutoff),
+                 lambda l1, l2, X1, X2: l1 * l2 * X1 * X2 / ((1 + l1 * X1) * (1 + l2 * X2))),
+}
 
-    def __missing__(self, key: str):
+
+def _identity_param(given: dict[str, Fraction], key: str) -> int | float:
+    """--params key as the int (l*) or float (X*) the identity reads."""
+    if key not in given:
         raise InvalidInput(f"this identity needs --params {key}=...")
-
-    def integer(self, key: str) -> int:
-        value = self[key]
+    value = given[key]
+    if key.startswith("l"):
         if value.denominator != 1:
             raise InvalidInput(f"--params {key} must be an integer, got {value}")
-        return int(value)
-
-    def real(self, key: str) -> float:
-        try:
-            return float(self[key])
-        except OverflowError:
-            raise InvalidInput(f"--params {key} is beyond the float range") from None
+        return value.numerator
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInput(f"--params {key} is beyond the float range") from None
 
 
-# the --params keys each identity reads; any other key is refused
-_IDENTITY_KEYS = {"power": ("l", "X"), "two-var": ("l", "X1", "X2"),
-                  "diagonal": ("l1", "l2", "X1", "X2")}
-
-
-def _identity_params(text: str, identity: str) -> _Params:
-    params = _Params()
-    for part in text.split(","):
+def _cmd_verify(args) -> int:
+    keys, check, target_of = _IDENTITIES[args.identity]
+    if args.identity == "power" and args.cutoff is not None:
+        raise InvalidInput("the power identity has no tail to cut off; drop --cutoff")
+    given: dict[str, Fraction] = {}
+    for part in args.params.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         if not value:
             raise InvalidInput(f"bad --params entry {part!r}, expected key=value")
-        if key in params:
+        if key in given:
             raise InvalidInput(f"--params {key} is given twice")
-        if key not in _IDENTITY_KEYS[identity]:
-            raise InvalidInput(f"the {identity} identity reads no --params {key}")
+        if key not in keys:
+            raise InvalidInput(f"the {args.identity} identity reads no --params {key}")
         try:
-            params[key] = Fraction(value.strip())
+            given[key] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise InvalidInput(f"bad --params value {part!r}, expected a rational") from None
-    return params
-
-
-def _cmd_verify(args) -> int:
-    if args.identity == "power" and args.cutoff is not None:
-        raise InvalidInput("the power identity has no tail to cut off; drop --cutoff")
-    params = _identity_params(args.params, args.identity)
     m_values = _parse_m_list(args.m_list)
-    # each target is computed after the checks, which validate the parameters
-    if args.identity == "power":
-        ell, X = params.integer("l"), params.real("X")
-        values = [verify_power_identity(ell, X, m) for m in m_values]
-        # the power check returns the limit argument, whose target is 1/(1+lX)
-        target = 1 / (1 + ell * X)
-    elif args.identity == "two-var":
-        ell, X1, X2 = params.integer("l"), params.real("X1"), params.real("X2")
-        values = [verify_two_variable_identity(ell, X1, X2, m, tail_cutoff=args.cutoff)
-                  for m in m_values]
-        target = ell * X1 / (1 + ell * X1)
-    else:
-        l1, l2 = params.integer("l1"), params.integer("l2")
-        X1, X2 = params.real("X1"), params.real("X2")
-        values = [verify_diagonal_identity(l1, l2, X1, X2, m, tail_cutoff=args.cutoff)
-                  for m in m_values]
-        target = l1 * l2 * X1 * X2 / ((1 + l1 * X1) * (1 + l2 * X2))
+    params = [_identity_param(given, key) for key in keys]
+    values = [check(*params, m, args.cutoff) for m in m_values]
+    # the target is computed after the checks, which validate the parameters
+    target = target_of(*params)
     if not math.isfinite(target):
         raise InvalidInput(f"the {args.identity} identity's target is not a finite float64")
     _write_csv(["m", "value", "target"],
@@ -270,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("verify", help="polygamma identity checks")
-    p.add_argument("--identity", choices=["power", "two-var", "diagonal"],
-                   required=True)
+    p.add_argument("--identity", choices=_IDENTITIES, required=True)
     p.add_argument("--params", required=True,
                    help='e.g. "l=2,X=1/2" or "l1=2,l2=3,X1=1/3,X2=1/2"')
     p.add_argument("--m-list", required=True)

@@ -39,7 +39,7 @@ MAX_FACET_SUBSETS = 1 << 18
 
 def span_basis(gens: Sequence[Vector]) -> list[tuple[Fraction | int, ...]]:
     """Basis of the linear span of the generators."""
-    reduced, pivots = rref([list(g) for g in gens])
+    reduced, pivots = rref(gens)
     return [tuple(reduced[i]) for i in range(len(pivots))]
 
 

@@ -18,19 +18,23 @@ therefore tiles the whole region:
 
 Pieces have pairwise disjoint interiors and their union is exactly the
 region; the test suite verifies this pointwise at scale. Their vertices are
-the generators' integer tuples and the origin (0,)*n, so jacobians are ints.
+the generators' integer tuples and the origin (0,)*n: make_piece stores
+vertices as ints and refuses a non-integral one, so jacobians are int
+determinants and piece_membership decides a rational point on the integer
+elimination after scaling it by its common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
 from typing import Sequence
 
 from .cones import pull_triangulation
 from .errors import DegenerateFacet, InvalidInput
-from .linalg import det
+from .linalg import det, rref
 from .polyhedron import NewtonPolyhedron
 
 
@@ -38,20 +42,20 @@ from .polyhedron import NewtonPolyhedron
 class GeneralizedSimplex:
     """conv(finite_vertices) + cone(e_k : k in ray_axes), with p + q = n.
 
-    finite_vertices lists v_0..v_p; jacobian is |det| of the columns
-    (v_1 - v_0, ..., v_p - v_0, e_k1, ..., e_kq) and is always positive (an
-    int when the vertices are integral).
+    finite_vertices lists the integer vertices v_0..v_p; jacobian is the
+    positive int |det| of the columns (v_1 - v_0, ..., v_p - v_0, e_k1, ...,
+    e_kq).
     """
 
-    finite_vertices: tuple[tuple[Fraction | int, ...], ...]
+    finite_vertices: tuple[tuple[int, ...], ...]
     ray_axes: frozenset[int]
-    jacobian: Fraction | int
+    jacobian: int
 
     @property
     def n(self) -> int:
         return len(self.finite_vertices[0])
 
-    def coordinate_matrix(self) -> list[list[Fraction | int]]:
+    def coordinate_matrix(self) -> list[list[int]]:
         """Columns spanning the piece from v_0: edge vectors then ray axes."""
         v0 = self.finite_vertices[0]
         cols = [
@@ -65,18 +69,20 @@ class GeneralizedSimplex:
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.n)]
 
 
-def _coordinate(x: Rational) -> Fraction | int:
-    """x as an int when it is integral, else as a Fraction."""
-    if not isinstance(x, Rational):
-        raise InvalidInput(f"piece vertex coordinates are rationals, got {x!r}")
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+def _coordinate(x: Rational) -> int:
+    """x as an int; InvalidInput unless it is an integral rational."""
+    if isinstance(x, Rational):
+        x = Fraction(x)
+        if x.denominator == 1:
+            return x.numerator
+    raise InvalidInput(f"piece vertex coordinates are integers, got {x!r}")
 
 
-def make_piece(finite_vertices: Sequence[Sequence[Fraction | int]],
+def make_piece(finite_vertices: Sequence[Sequence[Rational]],
                ray_axes: Sequence[int]) -> GeneralizedSimplex:
-    """The piece with its integral vertex coordinates stored as ints, so
-    equal pieces compare and expand alike whatever types built them."""
+    """The piece with its vertex coordinates stored as ints, so equal pieces
+    compare and expand alike whatever types built them; a non-integral
+    coordinate raises InvalidInput."""
     vertices = tuple(tuple(x if type(x) is int else _coordinate(x) for x in v)
                      for v in finite_vertices)
     rays = frozenset(int(k) for k in ray_axes)
@@ -122,29 +128,29 @@ def cone_decomposition(poly: NewtonPolyhedron,
 
 
 def piece_membership(piece: GeneralizedSimplex,
-                     point: Sequence[Fraction]) -> str:
+                     point: Sequence[Rational]) -> str:
     """'interior', 'boundary' or 'outside', decided exactly.
 
     Solves for the simplex coordinates (lambda_1..lambda_p, mu_k) of the
     point; interior means every coordinate, including the implicit
-    lambda_0 = 1 - sum(lambda), is strictly positive.
+    lambda_0 = 1 - sum(lambda), is strictly positive. The point is scaled
+    once by the common denominator L of its coordinates, so the elimination
+    runs on integers and yields L times each coordinate, and L - sum(L lambda)
+    for lambda_0, which have the same signs.
     """
-    from .linalg import rref  # local import keeps module load light
-
-    n = piece.n
-    v0 = piece.finite_vertices[0]
-    rhs = [Fraction(x) - a for x, a in zip(point, v0)]
-    m = piece.coordinate_matrix()
-    augmented = [row + [rhs[i]] for i, row in enumerate(m)]
+    n, v0 = piece.n, piece.finite_vertices[0]
+    xs = [Fraction(x) for x in point]
+    if len(xs) != n:
+        raise InvalidInput(f"point {tuple(point)} has {len(xs)} coordinates, the piece {n}")
+    scale = lcm(*(x.denominator for x in xs))
+    augmented = [row + [int(x * scale) - scale * a]
+                 for row, x, a in zip(piece.coordinate_matrix(), xs, v0)]
     reduced, pivots = rref(augmented)
     if len(pivots) != n or n in pivots:
         raise InvalidInput("coordinate matrix must be invertible")
-    coords = [reduced[i][n] for i in range(n)]
+    coords = [row[n] for row in reduced]
     p = len(piece.finite_vertices) - 1
-    lambdas = coords[:p]
-    mus = coords[p:]
-    lambda0 = 1 - sum(lambdas)
-    all_coords = [lambda0] + lambdas + mus
+    all_coords = [scale - sum(coords[:p])] + coords
     if any(c < 0 for c in all_coords):
         return "outside"
     if any(c == 0 for c in all_coords):

@@ -77,7 +77,7 @@ from typing import Sequence
 
 from .decompose import cone_decomposition
 from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _integers
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
 from .polyhedron import NewtonPolyhedron, in_newton_region, newton_polyhedron
@@ -103,6 +103,7 @@ class EstimatorConfig:
     tail_tolerance: float | None = None
 
     def __post_init__(self):
+        (self.m,) = _integers((self.m,), "m")
         if self.m < 1:
             raise InvalidInput(f"m must be a positive integer, got {self.m}")
         self.X = tuple(self.X)
@@ -114,6 +115,7 @@ class EstimatorConfig:
             raise InvalidInput(f"unknown arithmetic {self.arithmetic!r}")
         if self.ray_cutoff is None:
             self.ray_cutoff = 10 * self.m * self.m
+        (self.ray_cutoff,) = _integers((self.ray_cutoff,), "ray_cutoff")
         if self.ray_cutoff < self.m:
             raise InvalidInput(
                 f"ray_cutoff {self.ray_cutoff} must be at least m = {self.m}")
@@ -140,6 +142,7 @@ class ModeAgreement:
 
 def kernel_term(a: Sequence[int], m: int, X: Sequence):
     """One summand of the estimator, exact; a float when some X_i is a float."""
+    *a, m = _integers((*a, m), "a and m")
     n = len(a)
     if len(X) != n:
         raise InvalidInput("a and X must have the same length")
@@ -422,23 +425,26 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
                        ray_cutoff: int | None = None) -> list[ConvergenceRow]:
     """Estimates along increasing m with the exact value and absolute errors.
 
-    ray_cutoff applies to every m; None means each m's default 10*m^2.
+    ray_cutoff applies to every m; None means each m's default 10*m^2. Every
+    estimate runs before the cone decomposition and the exact value, so a
+    refused one costs no more than the polyhedron its refusal reads.
     """
+    m_list = _integers(m_list, "m_list entries")
     if list(m_list) != sorted(m_list):
         raise InvalidInput("m_list must be increasing")
     _check_length(ideal, X)
-    exact_value = float(evaluate(cone_decomposition(newton_polyhedron(ideal)), X))
-    rows = []
+    poly = newton_polyhedron(ideal)  # built here, so no row's time includes it
+    timed = []
     for m in m_list:
         cfg = EstimatorConfig(m=m, X=tuple(X), condition_mode=condition_mode,
                               ray_cutoff=ray_cutoff, arithmetic=arithmetic)
         start = time.perf_counter()
         value = estimate(ideal, cfg)
-        elapsed = time.perf_counter() - start
-        rows.append(ConvergenceRow(
-            m=m, estimate=value, exact_value=exact_value,
-            abs_error=abs(float(value) - exact_value), elapsed_time=elapsed))
-    return rows
+        timed.append((m, value, time.perf_counter() - start))
+    exact_value = float(evaluate(cone_decomposition(poly), X))
+    return [ConvergenceRow(m=m, estimate=value, exact_value=exact_value,
+                           abs_error=abs(float(value) - exact_value), elapsed_time=elapsed)
+            for m, value, elapsed in timed]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +466,9 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     import numpy as np
     import random
 
+    m, cutoff = _integers((m, 4 * m if scan_cutoff is None else scan_cutoff),
+                          "m and scan_cutoff")
     poly = newton_polyhedron(ideal)
-    cutoff = scan_cutoff if scan_cutoff is not None else 4 * m
     _, limits = _axis_limits(poly, m, cutoff)
     scanned = math.prod(limits[1:])
     if scanned > MAX_LCT_POINTS:

@@ -49,15 +49,17 @@ def cross_stretch_factors(direction: Sequence[int]) -> tuple[int, ...]:
     return tuple(total // a_i for a_i in direction)
 
 
-def _validated(ideal: MonomialIdeal, direction: Sequence[int], m: int) -> tuple[int, ...]:
+def _validated(ideal: MonomialIdeal, direction: Sequence[int],
+               m: int) -> tuple[tuple[int, ...], int]:
     a = _integers(direction, "direction entries")
+    (m,) = _integers((m,), "m")
     if len(a) != ideal.n:
         raise InvalidInput(f"direction {a} has length {len(a)}, expected {ideal.n}")
     if any(x < 1 for x in a):
         raise InvalidInput("direction entries must be positive integers")
     if m < 1:
         raise InvalidInput("m must be a positive integer")
-    return a
+    return a, m
 
 
 def lct_condition(ideal: MonomialIdeal, direction: Sequence[int], m: int) -> bool:
@@ -67,7 +69,7 @@ def lct_condition(ideal: MonomialIdeal, direction: Sequence[int], m: int) -> boo
     variable by the product of the other direction entries, then compare the
     threshold against m over the full product.
     """
-    a = _validated(ideal, direction, m)
+    a, m = _validated(ideal, direction, m)
     stretched = stretch(ideal, cross_stretch_factors(a))
     return lct(stretched) >= Fraction(m, math.prod(a))
 
@@ -79,6 +81,6 @@ def region_condition_via_lct(ideal: MonomialIdeal, direction: Sequence[int], m: 
     the non-strict comparison matches the region being a closure, so diagram
     boundary points satisfy both this and lct_condition.
     """
-    a = _validated(ideal, direction, m)
+    a, m = _validated(ideal, direction, m)
     stretched = stretch(ideal, cross_stretch_factors(a))
     return math.prod(a) * lct(stretched) <= m

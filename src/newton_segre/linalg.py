@@ -1,39 +1,27 @@
 """Small exact linear algebra on integer rows, by fraction-free elimination.
 
-rref, rank, kernel_basis and det are views of one fraction-free Gauss-Jordan
-(Bareiss) elimination, whose row update _pivot is the package's one pivot
-step (the simplex tableau uses it too). Rows of int or Fraction are first
-scaled row by row to integers (which changes neither the row space nor the
-pivots); after the elimination every pivot equals the same integer D, every
-division is exact and the reduced row echelon form is the integer matrix
-divided by D. kernel_basis therefore returns integer vectors, and dot keeps
-its input types, so integer vectors give an int. Matrices are desk-scale.
+rref, rank, kernel_basis and det take rows of ints only: every matrix the
+package eliminates is integral (generators, piece edges, L-scaled points).
+They are views of one fraction-free Gauss-Jordan (Bareiss) elimination,
+whose row update _pivot is the package's one pivot step (the simplex
+tableau uses it too). After the elimination every pivot equals the same
+integer D, every division is exact and the reduced row echelon form is the
+integer matrix divided by D. kernel_basis therefore returns integer vectors,
+det an int, and dot keeps its input types, so integer vectors give an int.
+The elimination replaces rows and never mutates one, so only the outer list
+is copied. Matrices are desk-scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Sequence
 
 from .errors import InvalidInput
 
-def _integer_rows(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], int]:
-    """Rows scaled to integers, and the product of the row scales."""
-    out: list[list[int]] = []
-    scale = 1
-    for row in rows:
-        row = list(row)
-        if not {int}.issuperset(map(type, row)):
-            den = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
-            scale *= den
-        out.append(row)
-    return out, scale
 
-
-def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+def _pivot(m: list[Sequence[int]], r: int, c: int, prev: int) -> int:
     """One fraction-free Gauss-Jordan step on m[r][c], in place.
 
     Every row but r becomes (p * row - row[c] * m[r]) / prev for p = m[r][c];
@@ -48,7 +36,7 @@ def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
     return p
 
 
-def _eliminate(m: list[list[int]]) -> tuple[list[list[int]], list[int], int, int]:
+def _eliminate(m: list[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
     Returns (m, pivots, D, sign). Row r < len(pivots) has D in pivot column
@@ -75,19 +63,19 @@ def _eliminate(m: list[list[int]]) -> tuple[list[list[int]], list[int], int, int
     return m, pivots, prev, sign
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction | int]], list[int]]:
+def rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[Fraction | int]], list[int]]:
     """Reduced row echelon form and its pivot column indices; integral
     entries come back as int, the others as Fraction."""
-    m, pivots, d, _sign = _eliminate(_integer_rows(rows)[0])
+    m, pivots, d, _sign = _eliminate(list(rows))
     return [[x // d if x % d == 0 else Fraction(x, d) for x in row]
             for row in m], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(_eliminate(_integer_rows(rows)[0])[1])
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_eliminate(list(rows))[1])
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+def kernel_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer basis of the right null space of the given matrix.
 
     The vector for free column f has D at f, -M[r][f] at pivot column r and
@@ -95,7 +83,7 @@ def kernel_basis(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots, d, _sign = _eliminate(_integer_rows(rows)[0])
+    m, pivots, d, _sign = _eliminate(list(rows))
     basis: list[list[int]] = []
     for fc in range(ncols):
         if fc in pivots:
@@ -108,16 +96,13 @@ def kernel_basis(rows: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
     return basis
 
 
-def det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction | int:
-    """Exact determinant: an int when every entry is integral, else a Fraction."""
+def det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise InvalidInput("determinant needs a square matrix")
-    m, scale = _integer_rows(rows)
-    _m, pivots, d, sign = _eliminate(m)
-    if len(pivots) < n:
-        return 0
-    return sign * d if scale == 1 else Fraction(sign * d, scale)
+    _m, pivots, d, sign = _eliminate(list(rows))
+    return sign * d if len(pivots) == n else 0
 
 
 def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:

@@ -45,6 +45,7 @@ from numbers import Integral
 
 from .errors import (CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveArgument,
                      PrecisionUnreachable)
+from .ideals import _integers
 
 SHIFT_THRESHOLD = 20.0
 _MAX_BERNOULLI = 60
@@ -202,6 +203,7 @@ def sum_inverse_cubes(lo: int, hi: int, y: float) -> float:
 
 def verify_power_identity(ell: int, X: float, m: int) -> float:
     """(m / X) * psi_1(m*ell + m/X); approaches 1 / (1 + ell*X) as m grows."""
+    ell, m = _integers((ell, m), "ell and m")
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
     if X <= 0:
@@ -264,6 +266,8 @@ def _truncation(name: str, first: int, start: int, X1: float, X2: float,
         target = tolerance / 10.0
         needed = ((X2 * X2 / X1) / target - shift) / X1
         tail_cutoff = max(start + 20 * m, needed) + 1
+    else:
+        (tail_cutoff,) = _integers((tail_cutoff,), "tail_cutoff")
     terms = tail_cutoff - first + 1
     if terms > MAX_COLUMNS:
         raise EstimateTooLarge(
@@ -308,6 +312,7 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     with the sum truncated at tail_cutoff and the remainder estimated from
     psi_2(y) ~ -y^-2. Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
+    ell, m = _integers((ell, m), "ell and m")
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
     start = m * ell
@@ -331,6 +336,7 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
     l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)).
     """
     import numpy as np
+    ell1, ell2, m = _integers((ell1, ell2, m), "ell1, ell2 and m")
     if ell1 < 1 or ell2 < 1 or m < 1:
         raise InvalidInput("ell1, ell2, m must be positive integers")
     start = m * ell1

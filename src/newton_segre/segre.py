@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
 from .errors import AmbientTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, _integers
 from .polyhedron import newton_polyhedron
 from .series import TruncatedSeries
 
@@ -106,6 +106,7 @@ def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
     n, n), is refused with EstimateTooLarge before anything is allocated.
     """
     n = ideal.n
+    (ambient_dim,) = _integers((ambient_dim,), "ambient_dim")
     if ambient_dim < n - 1:
         raise AmbientTooSmall(
             f"ambient dimension {ambient_dim} cannot contain a scheme in {n} variables")

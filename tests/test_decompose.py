@@ -11,6 +11,7 @@ from newton_segre import (TruncatedSeries, cone_decomposition, in_newton_region,
                           newton_polyhedron)
 from newton_segre.decompose import piece_membership
 from tests.conftest import random_ideal
+from tests.test_linalg import oracle_rref
 
 ORIGIN2 = (F(0), F(0))
 
@@ -81,7 +82,7 @@ def _coverage_counts(ideal, points):
     return good
 
 
-@pytest.mark.parametrize("gens", [
+_PARTITION_GENS = [
     [(3, 0), (0, 2)],
     [(1, 1)],
     [(2, 0), (1, 1)],
@@ -91,17 +92,60 @@ def _coverage_counts(ideal, points):
     [(2, 0, 0), (1, 1, 0), (0, 0, 3)],
     # facet with a recession ray inside the span of its vertex hull
     [(0, 3, 1), (1, 2, 0), (3, 0, 2)],
-])
+]
+
+
+def _partition_points(gens):
+    """250 seeded orthant points on the grid of sixths around the generators."""
+    rng = random.Random(hash(tuple(map(tuple, gens))) & 0xFFFF)
+    top = max(max(g) for g in gens) + 2
+    return [tuple(F(rng.randint(0, 6 * top), 6) for _ in range(len(gens[0])))
+            for _ in range(250)]
+
+
+@pytest.mark.parametrize("gens", _PARTITION_GENS)
 def test_exact_partition_of_region(gens):
     """Exact check: each orthant point is in the region iff it lands in
     exactly one piece interior or on a piece boundary."""
     ideal = make_ideal(len(gens[0]), gens)
-    rng = random.Random(hash(tuple(map(tuple, gens))) & 0xFFFF)
-    top = max(max(g) for g in gens) + 2
-    points = []
-    for _ in range(250):
-        points.append(tuple(F(rng.randint(0, 6 * top), 6) for _ in range(ideal.n)))
-    assert _coverage_counts(ideal, points) == 250
+    assert _coverage_counts(ideal, _partition_points(gens)) == 250
+
+
+def _oracle_membership(piece, point):
+    """piece_membership on rational rows: the point's simplex coordinates
+    from Fraction Gauss-Jordan elimination, lambda_0 = 1 - sum(lambda)."""
+    n = piece.n
+    v0 = piece.finite_vertices[0]
+    rhs = [F(x) - a for x, a in zip(point, v0)]
+    m = piece.coordinate_matrix()
+    augmented = [row + [rhs[i]] for i, row in enumerate(m)]
+    reduced, pivots = oracle_rref(augmented)
+    assert len(pivots) == n and n not in pivots
+    coords = [reduced[i][n] for i in range(n)]
+    p = len(piece.finite_vertices) - 1
+    lambdas = coords[:p]
+    mus = coords[p:]
+    lambda0 = 1 - sum(lambdas)
+    all_coords = [lambda0] + lambdas + mus
+    if any(c < 0 for c in all_coords):
+        return "outside"
+    if any(c == 0 for c in all_coords):
+        return "boundary"
+    return "interior"
+
+
+@pytest.mark.parametrize("gens", _PARTITION_GENS)
+def test_membership_matches_the_fraction_oracle(gens):
+    """The integer elimination on the L-scaled point gives the Fraction
+    oracle's verdict for every piece and point of the partition test."""
+    pieces = cone_decomposition(newton_polyhedron(make_ideal(len(gens[0]), gens)))
+    verdicts = set()
+    for point in _partition_points(gens):
+        for piece in pieces:
+            verdict = piece_membership(piece, point)
+            assert verdict == _oracle_membership(piece, point), (piece, point)
+            verdicts.add(verdict)
+    assert verdicts == {"interior", "boundary", "outside"}
 
 
 def test_float_partition_at_scale():

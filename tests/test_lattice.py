@@ -248,6 +248,21 @@ def test_convergence_report_cutoff_applies_to_every_m():
         assert row.estimate == estimate(ideal, EstimatorConfig(m=row.m, X=X, ray_cutoff=400))
 
 
+def test_refused_report_builds_no_decomposition(monkeypatch):
+    """Every estimate runs before the cone decomposition: a report whose last
+    m is refused (10^10 lattice columns) decomposes nothing, and one that
+    finishes decomposes once."""
+    decompose, calls = lattice.cone_decomposition, []
+    monkeypatch.setattr(lattice, "cone_decomposition",
+                        lambda poly: calls.append(poly) or decompose(poly))
+    ideal = make_ideal(3, [(0, 0, 1)])
+    with pytest.raises(EstimateTooLarge):
+        convergence_report(ideal, (1, 1, 1), [2, 1000])
+    assert calls == []
+    assert [row.m for row in convergence_report(ideal, (1, 1, 1), [2, 3])] == [2, 3]
+    assert len(calls) == 1
+
+
 def test_convergence_report_requires_increasing_m():
     with pytest.raises(ValueError):
         convergence_report(make_ideal(1, [(1,)]), (F(1),), [100, 50])

@@ -1,18 +1,25 @@
 """Property tests of the fraction-free elimination in newton_segre.linalg.
 
 The oracle is plain Gauss-Jordan elimination over Fraction, the textbook
-algorithm, kept here only as a reference. Matrices have up to 6 rows and 7
-columns and entries up to about 10^7 (the size of cross-stretched ideals);
-some rows are integer combinations of others, so most matrices are rank
-deficient.
+algorithm, kept here only as a reference. Matrices are integer, the only
+input linalg takes, with up to 6 rows and 7 columns and entries up to about
+10^7 (the size of cross-stretched ideals); some rows are integer
+combinations of others, so most matrices are rank deficient. A guard test
+checks that the package's geometry hands the elimination nothing but ints.
 """
 
+import random
+import sys
 from fractions import Fraction as F
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import newton_segre
+from newton_segre import cone_decomposition, linalg, newton_polyhedron, segre_class
+from newton_segre.decompose import piece_membership
 from newton_segre.linalg import det, dot, kernel_basis, rank, rref
+from tests.conftest import random_ideal
 
 
 def oracle_rref(rows):
@@ -87,7 +94,9 @@ def test_rref_and_rank_match_the_fraction_oracle(rows):
 
 @given(deficient_matrices(square=True))
 def test_det_matches_the_fraction_oracle(rows):
-    assert det(rows) == oracle_det(rows)
+    value = det(rows)
+    assert type(value) is int
+    assert value == oracle_det(rows)
 
 
 @given(deficient_matrices())
@@ -101,11 +110,35 @@ def test_kernel_basis_is_integral_and_annihilates(rows):
         assert rank(basis) == len(basis)
 
 
-_RATIONALS = st.builds(F, st.integers(-50, 50), st.integers(1, 12))
+def _record_entry_types(monkeypatch, seen):
+    """Wrap rref, rank, kernel_basis and det in every package namespace that
+    holds them, adding the type of each matrix entry they receive to seen."""
+    for name in ("rref", "rank", "kernel_basis", "det"):
+        function = getattr(linalg, name)
+
+        def recording(rows, function=function):
+            seen.update(type(x) for row in rows for x in row)
+            return function(rows)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == newton_segre.__name__:
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, attr, recording)
 
 
-@given(st.lists(st.lists(_RATIONALS, min_size=4, max_size=4), min_size=1, max_size=4))
-def test_rational_rows_match_the_fraction_oracle(rows):
-    assert rref(rows) == oracle_rref(rows)
-    square = [row[:len(rows)] for row in rows]
-    assert det(square) == oracle_det(square)
+def test_only_ints_reach_the_elimination(monkeypatch):
+    """The polyhedron, its pieces, the Segre class and membership of rational
+    points eliminate integer rows only, for n = 2..5."""
+    seen = set()
+    _record_entry_types(monkeypatch, seen)
+    rng = random.Random(19)
+    newton_polyhedron.cache_clear()
+    for n in (2, 3, 4, 5):
+        ideal = random_ideal(rng, n, max_gens=4, max_exp=4)
+        pieces = cone_decomposition(newton_polyhedron(ideal))
+        segre_class(ideal, ambient_dim=n)
+        for piece in pieces:
+            point = tuple(F(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(n))
+            piece_membership(piece, point)
+    assert seen == {int}
