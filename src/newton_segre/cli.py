@@ -85,7 +85,7 @@ def _cmd_segre(args) -> int:
 def _cmd_estimate(args) -> int:
     ideal = parse_ideal(args.ideal, n=args.n)
     X = _parse_x(args.X)
-    mode = {"membership": MEMBERSHIP, "lct": LCT_BASED}.get(args.mode, args.mode)
+    mode = {"membership": MEMBERSHIP, "lct": LCT_BASED}[args.mode]
     arith = EXACT if args.arith == "exact" else FLOAT64
     m_list = [args.m] if args.m_list is None else _parse_m_list(args.m_list)
     rows = convergence_report(ideal, X, m_list, condition_mode=mode,
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--m-list", default=None,
                    help="comma-separated m values; prints a convergence CSV")
     p.add_argument("--X", required=True, help="comma-separated positive rationals")
-    p.add_argument("--mode", default="membership", help="membership or lct")
+    p.add_argument("--mode", choices=["membership", "lct"], default="membership")
     p.add_argument("--cutoff", type=int, default=None,
                    help="truncation along unbounded axes (default 10*m^2)")
     p.add_argument("--arith", choices=["float", "exact"], default="float")

@@ -21,7 +21,9 @@ region; the test suite verifies this pointwise at scale. Their vertices are
 the generators' integer tuples and the origin (0,)*n: make_piece stores
 vertices as ints and refuses a non-integral one, so jacobians are int
 determinants and piece_membership decides a rational point on the integer
-elimination after scaling it by its common denominator.
+elimination after scaling it by its common denominator, as read by
+ideals._rationals. make_piece also refuses vertices of unequal length, none
+or negative ones, and ray axes that repeat or leave 0..n-1.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from numbers import Rational
 from typing import Sequence
 
 from .cones import pull_triangulation
-from .errors import DegenerateFacet, InvalidInput
+from .errors import DegenerateFacet, InvalidInput, NegativeCoordinate
+from .ideals import _integers, _rationals
 from .linalg import det, rref
 from .polyhedron import NewtonPolyhedron
 
@@ -81,12 +84,21 @@ def _coordinate(x: Rational) -> int:
 def make_piece(finite_vertices: Sequence[Sequence[Rational]],
                ray_axes: Sequence[int]) -> GeneralizedSimplex:
     """The piece with its vertex coordinates stored as ints, so equal pieces
-    compare and expand alike whatever types built them; a non-integral
-    coordinate raises InvalidInput."""
+    compare and expand alike whatever types built them. InvalidInput for a
+    non-integral coordinate, no vertex, vertices of unequal length, or ray
+    axes (read by ideals._integers) other than distinct axes in 0..n-1;
+    NegativeCoordinate for a vertex outside the orthant."""
     vertices = tuple(tuple(x if type(x) is int else _coordinate(x) for x in v)
                      for v in finite_vertices)
-    rays = frozenset(int(k) for k in ray_axes)
+    if not vertices or any(len(v) != len(vertices[0]) for v in vertices):
+        raise InvalidInput(f"piece vertices {vertices} must be one or more points of one length")
     n = len(vertices[0])
+    if any(x < 0 for v in vertices for x in v):
+        raise NegativeCoordinate(f"piece vertices {vertices} leave the positive orthant")
+    axes = _integers(ray_axes, "ray axes")
+    rays = frozenset(axes)
+    if len(rays) != len(axes) or not all(0 <= k < n for k in axes):
+        raise InvalidInput(f"ray axes {axes} must be distinct axes in 0..{n - 1}")
     if len(vertices) - 1 + len(rays) != n:
         raise InvalidInput("piece needs p+1 vertices and q rays with p+q = n")
     piece = GeneralizedSimplex(vertices, rays, 0)
@@ -139,7 +151,7 @@ def piece_membership(piece: GeneralizedSimplex,
     for lambda_0, which have the same signs.
     """
     n, v0 = piece.n, piece.finite_vertices[0]
-    xs = [Fraction(x) for x in point]
+    xs, _ = _rationals(point, "point coordinates")
     if len(xs) != n:
         raise InvalidInput(f"point {tuple(point)} has {len(xs)} coordinates, the piece {n}")
     scale = lcm(*(x.denominator for x in xs))

@@ -6,6 +6,11 @@ componentwise, and never the zero vector (the ideal must be proper).
 Exponent vectors are plain tuples of non-negative ints; an n above
 MAX_VARIABLES is refused before any of them is built.
 
+The package's two readers of caller input live here: _integers for every
+count, order, axis, exponent and coefficient (integer types only), and
+_rationals for every point (a Rational exactly, a finite float as the
+rational it stores). Both refuse anything else with InvalidInput.
+
 Text is read by one token regex over the string as passed: factors x<i> and
 x<i>^<e> (whitespace around x and ^, never inside a number), '*', ',' and
 any other character, a ParseError at its own index in that string.
@@ -14,9 +19,12 @@ any other character, a ParseError at its own index in that string.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Rational, Real
 from operator import index
 from typing import Iterable, Sequence
 
@@ -63,13 +71,31 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
     raise InvalidInput(f"{what} must be integers, got {values!r}")
 
 
+def _rationals(values: Iterable, what: str) -> tuple[list[Fraction], bool]:
+    """values as exact rationals, and whether one of them was inexact: a
+    Rational is read exactly, a finite Real (a float) as the rational it
+    stores; InvalidInput for anything else, a string or a nan included."""
+    try:
+        values, inexact = list(values), False
+    except TypeError:
+        raise InvalidInput(f"{what} must be finite real numbers: {values!r}") from None
+    for x in values:
+        if not isinstance(x, Rational):
+            if not (isinstance(x, Real) and math.isfinite(x)):
+                raise InvalidInput(f"{what} must be finite real numbers: {values!r}")
+            inexact = True
+    return [Fraction(x) for x in values], inexact
+
+
 def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal:
     """Build a proper monomial ideal, dropping dominated generators.
 
     Raises ZeroGenerator when the zero vector appears (the ideal would be the
     unit ideal) and DimensionMismatch on bad vector lengths, or on an n
-    outside 1..MAX_VARIABLES before the first generator is read.
+    outside 1..MAX_VARIABLES before the first generator is read; n and the
+    exponents are read by _integers.
     """
+    (n,) = _integers((n,), "n")
     if not 1 <= n <= MAX_VARIABLES:
         raise DimensionMismatch(f"an ideal has 1 to {MAX_VARIABLES} variables, got n={n}")
     gens: set[ExponentVector] = set()
@@ -138,6 +164,8 @@ def parse_ideal(source: str | dict, n: int | None = None) -> MonomialIdeal:
     variable count is the highest index mentioned unless n is given. A
     ParseError's position is an index into source as passed.
     """
+    if n is not None:
+        (n,) = _integers((n,), "n")
     if isinstance(source, dict):
         return _ideal_from_json(source, n)
     if source.lstrip().startswith("{"):
@@ -159,8 +187,7 @@ def _ideal_from_json(payload: dict, n: int | None) -> MonomialIdeal:
     if "generators" not in payload:
         raise ParseError("JSON ideal needs a 'generators' key", 0)
     width = payload.get("n", n if n is not None else 0)
-    if isinstance(width, bool) or not isinstance(width, int):
-        raise InvalidInput(f"JSON 'n' must be an integer, got {width!r}")
+    (width,) = _integers((width,), "JSON 'n'")
     gens = payload["generators"]
     if not isinstance(gens, list):
         raise InvalidInput(f"JSON 'generators' must be a list, got {gens!r}")

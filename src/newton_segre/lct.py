@@ -43,20 +43,29 @@ def lct(ideal: MonomialIdeal) -> Fraction:
     return 1 / diagonal_exit(newton_polyhedron(ideal))
 
 
+def _direction(direction: Sequence[int]) -> tuple[int, ...]:
+    """direction read by ideals._integers; InvalidInput unless every entry
+    is positive."""
+    a = _integers(direction, "direction entries")
+    if any(x < 1 for x in a):
+        raise InvalidInput("direction entries must be positive integers")
+    return a
+
+
 def cross_stretch_factors(direction: Sequence[int]) -> tuple[int, ...]:
-    """(prod_{j != 1} a_j, ..., prod_{j != n} a_j) for a lattice direction a."""
-    total = math.prod(direction)
-    return tuple(total // a_i for a_i in direction)
+    """(prod_{j != 1} a_j, ..., prod_{j != n} a_j) for a lattice direction a
+    of positive integers."""
+    a = _direction(direction)
+    total = math.prod(a)
+    return tuple(total // a_i for a_i in a)
 
 
 def _validated(ideal: MonomialIdeal, direction: Sequence[int],
                m: int) -> tuple[tuple[int, ...], int]:
-    a = _integers(direction, "direction entries")
+    a = _direction(direction)
     (m,) = _integers((m,), "m")
     if len(a) != ideal.n:
         raise InvalidInput(f"direction {a} has length {len(a)}, expected {ideal.n}")
-    if any(x < 1 for x in a):
-        raise InvalidInput("direction entries must be positive integers")
     if m < 1:
         raise InvalidInput("m must be a positive integer")
     return a, m

@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
 # numpy is imported inside the functions that use it, so the exact-geometry
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
@@ -60,14 +59,17 @@ _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
 
 
-@lru_cache(maxsize=8)
+# typed, so that True or 1.0 misses the entry cached for 1 and is refused
+@lru_cache(maxsize=8, typed=True)
 def bernoulli(K: int) -> tuple[Fraction, ...]:
     """B_2, B_4, ..., B_2K as exact rationals, from the tangent numbers T_k.
 
     The T_k come from an integer-only recurrence (Brent and Harvey, "Fast
     computation of Bernoulli, tangent and secant numbers", 2011), and
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). K is read by
+    ideals._integers.
     """
+    (K,) = _integers((K,), "K")
     if K < 1:
         raise InvalidInput("need at least one Bernoulli number")
     tangent = [0, 1] + [0] * (K - 1)
@@ -103,6 +105,14 @@ def _horner_coefficients(r: int) -> tuple[float, ...]:
         f"relative accuracy within {_MAX_BERNOULLI} terms")
 
 
+def _order(r: int) -> int:
+    """r read by ideals._integers; InvalidInput unless it is at least 1."""
+    (r,) = _integers((r,), "polygamma order")
+    if r < 1:
+        raise InvalidInput(f"polygamma order must be an integer >= 1, got {r!r}")
+    return r
+
+
 def polygamma(r: int, x):
     """psi_r at positive real x (scalar or array), in float64.
 
@@ -111,8 +121,7 @@ def polygamma(r: int, x):
     for orders above 38.
     """
     import numpy as np
-    if not isinstance(r, Integral) or r < 1:
-        raise InvalidInput(f"polygamma order must be an integer >= 1, got {r!r}")
+    r = _order(r)
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     shifted = np.atleast_1d(arr).astype(np.float64)  # a copy the kernel works in
@@ -164,6 +173,7 @@ def polygamma(r: int, x):
 def polygamma_extended(r: int, x: float) -> float:
     """Guard path: the same scheme evaluated in numpy extended precision."""
     import numpy as np
+    r = _order(r)
     if x <= 0:
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
     ld = np.longdouble

@@ -32,9 +32,8 @@ from operator import and_
 from typing import Sequence
 
 from .cones import cone_facets
-from .errors import (DimensionMismatch, InternalInconsistency, InvalidInput,
-                     NegativeCoordinate)
-from .ideals import ExponentVector, MonomialIdeal
+from .errors import DimensionMismatch, InternalInconsistency, NegativeCoordinate
+from .ideals import ExponentVector, MonomialIdeal, _rationals
 from .linalg import dot
 from .simplex import feasible
 
@@ -107,10 +106,8 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 
 def _check_point(n: int, point: Sequence[Fraction | int]) -> RationalPoint:
-    try:
-        p = tuple(Fraction(x) for x in point)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"point coordinates must be finite rationals: {point!r}") from None
+    """The point read by ideals._rationals, refused unless it has n coordinates."""
+    p = tuple(_rationals(point, "point coordinates")[0])
     if len(p) != n:
         raise DimensionMismatch(f"point has {len(p)} coordinates, expected {n}")
     return p

@@ -32,12 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational, Real
 from typing import Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
 from .errors import AmbientTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
-from .ideals import MonomialIdeal, _integers
+from .ideals import MonomialIdeal, _integers, _rationals
 from .polyhedron import newton_polyhedron
 from .series import TruncatedSeries
 
@@ -57,7 +56,11 @@ class SegreClassResult:
 
 def integrate_piece(piece: GeneralizedSimplex, nvars: int,
                     degree_bound: int) -> TruncatedSeries:
-    """Series expansion of the kernel integral over one generalized simplex."""
+    """Series expansion of the kernel integral over one generalized simplex;
+    nvars must be the piece's dimension and degree_bound an integer."""
+    nvars, degree_bound = _integers((nvars, degree_bound), "nvars and degree_bound")
+    if nvars != piece.n:
+        raise InvalidInput(f"a piece in {piece.n} variables expanded in nvars={nvars}")
     exponent = [0 if axis in piece.ray_axes else 1 for axis in range(nvars)]
     series = TruncatedSeries.monomial(nvars, degree_bound, exponent, piece.jacobian)
     for vertex in piece.finite_vertices:
@@ -67,18 +70,13 @@ def integrate_piece(piece: GeneralizedSimplex, nvars: int,
 
 
 def _exact_point(point: Sequence) -> tuple[list[Fraction], bool]:
-    """The coordinates as exact rationals (a float is read as the rational it
-    stores), and whether some coordinate was inexact. Each must be a finite
-    real (InvalidInput) above zero (NonPositiveParameter)."""
-    values, inexact = list(point), False
-    for x in values:
-        if not isinstance(x, Rational):
-            if not (isinstance(x, Real) and math.isfinite(x)):
-                raise InvalidInput(f"parameters must be finite real numbers: {values}")
-            inexact = True
-    if any(x <= 0 for x in values):
-        raise NonPositiveParameter(f"parameters must be positive: {values}")
-    return [Fraction(x) for x in values], inexact
+    """The coordinates as read by ideals._rationals, and whether some
+    coordinate was inexact; each must also be above zero
+    (NonPositiveParameter)."""
+    xs, inexact = _rationals(point, "parameters")
+    if any(x <= 0 for x in xs):
+        raise NonPositiveParameter(f"parameters must be positive: {list(point)}")
+    return xs, inexact
 
 
 def piece_value(piece: GeneralizedSimplex, point: Sequence):

@@ -4,8 +4,10 @@ Terms of total degree above the bound are dropped by every operation, so the
 ring is Z[X_1..X_n] / (total degree > D). Every series the Segre class
 builds has integer coefficients (its vertices are generators and its
 jacobians integer determinants), so coefficients are plain ints and anything
-else is refused with InvalidInput. A product visits only the pairs of terms
-whose degrees fit under the bound. Division by a series whose constant term
+else is refused with InvalidInput. Coefficients, scalars, nvars, degree_bound
+and top_degree are read by ideals._integers; the constructor skips that call
+for a plain int, as its loop runs on every term of every Segre division. A
+product visits only the pairs of terms whose degrees fit under the bound. Division by a series whose constant term
 is a unit of Z, 1 or -1, solves for the quotient one total degree at a time;
 inverse() is 1 / self. The Segre class divides by the linear forms (1 + v.X)
 directly; the series product and inverse() stay for other callers and for
@@ -15,20 +17,13 @@ the benchmark's per-layer counters, which name them.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import add, index
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import InvalidInput
+from .ideals import _integers
 
 Exponent = tuple[int, ...]
-
-
-def _integer(c) -> int:
-    """c as an int; InvalidInput unless it is an integer type."""
-    try:
-        return index(c)
-    except TypeError:
-        raise InvalidInput(f"series coefficients are integers, got {c!r}") from None
 
 
 class TruncatedSeries:
@@ -36,6 +31,8 @@ class TruncatedSeries:
 
     def __init__(self, nvars: int, degree_bound: int,
                  coeffs: Mapping[Exponent, int] | None = None):
+        if type(nvars) is not int or type(degree_bound) is not int:
+            nvars, degree_bound = _integers((nvars, degree_bound), "nvars and degree_bound")
         if nvars < 1:
             raise InvalidInput("need at least one variable")
         if degree_bound < 0:
@@ -47,7 +44,7 @@ class TruncatedSeries:
             if len(exp) != nvars:
                 raise InvalidInput(f"exponent {exp} has wrong arity")
             if type(c) is not int:
-                c = _integer(c)
+                (c,) = _integers((c,), "series coefficients")
             if c != 0 and sum(exp) <= degree_bound:
                 cleaned[exp] = c
         self.coeffs = cleaned
@@ -98,7 +95,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            f = _integer(other)
+            (f,) = _integers((other,), "series coefficients")
             return TruncatedSeries(self.nvars, self.degree_bound,
                                    {e: c * f for e, c in self.coeffs.items()})
         self._compatible(other)
@@ -161,6 +158,7 @@ class TruncatedSeries:
 
     def pushforward(self, top_degree: int) -> tuple[int, ...]:
         """Coefficients of H^1 .. H^top_degree after substituting X_i -> H."""
+        (top_degree,) = _integers((top_degree,), "top_degree")
         parts = [0] * (top_degree + 1)
         for exp, c in self.coeffs.items():
             d = sum(exp)

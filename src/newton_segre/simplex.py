@@ -9,6 +9,8 @@ exactly when the optimum is at least 1: the optimal lambda scaled to sum 1
 is a convex combination below p. As p >= 0 the slack basis is a feasible
 start, and as no v_j is zero the optimum is finite.
 
+The points are read by ideals._integers and the target by ideals._rationals;
+there must be a point, and the points and the target must have one length.
 The tableau holds only ints: rows [v_j | I | L*p], L the lcm of the target's
 denominators, and the reduced costs as the last row. It pivots only through
 linalg._pivot, the fraction-free (Bareiss) step, so each entry is D times
@@ -29,7 +31,22 @@ from math import lcm
 from typing import Sequence
 
 from .errors import InternalInconsistency, InvalidInput
+from .ideals import _integers, _rationals
 from .linalg import _pivot
+
+
+def _lp_input(points: Sequence[Sequence[int]], target: Sequence[Fraction | int] | None
+              ) -> tuple[list[tuple[int, ...]], list[Fraction]]:
+    """The points and the target, (1,...,1) by default, read and checked as
+    the module docstring says."""
+    rows = [_integers(v, "packing LP points") for v in points]
+    if not rows:
+        raise InvalidInput("packing LP needs at least one point")
+    n = len(rows[0])
+    p, _ = _rationals((1,) * n if target is None else target, "packing LP target")
+    if any(len(v) != n for v in rows) or len(p) != n:
+        raise InvalidInput(f"packing LP points and target must all have length {n}")
+    return rows, p
 
 
 def solve_lp(points: Sequence[Sequence[int]],
@@ -39,13 +56,12 @@ def solve_lp(points: Sequence[Sequence[int]],
     The default target (1,...,1) gives 1 / diagonal exit. A negative target
     coordinate or a zero point raises InvalidInput: the slack basis would be
     infeasible or the LP unbounded."""
-    n = len(points[0])
-    p = (1,) * n if target is None else target
+    points, p = _lp_input(points, target)
     if any(x < 0 for x in p):
-        raise InvalidInput(f"packing LP target {tuple(p)} has a negative coordinate")
+        raise InvalidInput(f"packing LP target {tuple(target)} has a negative coordinate")
     if not all(any(v) for v in points):
         raise InvalidInput("packing LP over a zero point is unbounded")
-    k, p = len(points), [Fraction(x) for x in p]  # a float reads as the rational it stores
+    k, n = len(points), len(p)
     L = lcm(*(x.denominator for x in p))
     # columns: lambda_1..lambda_k | slack_1..slack_n | rhs; the last row holds
     # the reduced costs of min -sum lambda, then the objective sum lambda
@@ -71,4 +87,5 @@ def solve_lp(points: Sequence[Sequence[int]],
 
 def feasible(points: Sequence[Sequence[int]], target: Sequence[Fraction | int]) -> bool:
     """target in conv(points) + orthant: target >= 0 and the packing LP reaches 1."""
-    return all(x >= 0 for x in target) and solve_lp(points, target) >= 1
+    _, p = _lp_input(points, target)
+    return all(x >= 0 for x in p) and solve_lp(points, p) >= 1

@@ -205,6 +205,10 @@ def test_estimate_requires_m(capsys):
     (["estimate", "x1*x2", "--X", "1,1", "--m-list", "5,a"], "InvalidInput"),
     (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--cutoff", "5"], "InvalidInput"),
     (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--mode", "nope"], "InvalidInput"),
+    # --mode takes the two documented spellings only
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--mode", "lct_based"], "InvalidInput"),
+    (["estimate", "x1*x2", "--X", "1,1", "--m", "10", "--mode", "membership_based"],
+     "InvalidInput"),
     (["lct", '{"n":2,"generators":[[-1,2]]}'], "InvalidInput"),
     (["lct", '{"n":2,"generators":[[1,"a"]]}'], "InvalidInput"),
     (["verify", "--identity", "power", "--params", "l=2", "--m-list", "5"],

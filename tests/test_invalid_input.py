@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from newton_segre import (EstimatorConfig, GeneralizedSimplex, InvalidInput,
-                          TruncatedSeries, bernoulli, cone_decomposition,
-                          convergence_report, estimate, evaluate, in_newton_region,
-                          kernel_term, make_ideal, make_piece, mode_agreement_report,
-                          newton_polyhedron, polygamma, segre_class, solve_lp,
-                          verify_diagonal_identity, verify_power_identity,
+                          NegativeCoordinate, TruncatedSeries, bernoulli,
+                          cone_decomposition, contains_lp, convergence_report,
+                          cross_stretch_factors, estimate, evaluate, feasible,
+                          in_newton_region, integrate_piece, kernel_term, make_ideal,
+                          make_piece, mode_agreement_report, newton_polyhedron,
+                          parse_ideal, polygamma, polygamma_extended, segre_class,
+                          solve_lp, verify_diagonal_identity, verify_power_identity,
                           verify_two_variable_identity)
 from newton_segre.decompose import piece_membership
 from newton_segre.lct import lct_condition, region_condition_via_lct
@@ -19,6 +21,7 @@ _FLAT = GeneralizedSimplex(((0, 0), (1, 1), (2, 2)), frozenset(), 1)
 _IDEAL = make_ideal(2, [(2, 0), (1, 1), (0, 3)])
 _SERIES = TruncatedSeries(2, 3)
 _POLY = newton_polyhedron(_IDEAL)
+_TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
 
 
 @pytest.mark.parametrize("call", [
@@ -63,6 +66,42 @@ _POLY = newton_polyhedron(_IDEAL)
     lambda: region_condition_via_lct(_IDEAL, (2, 3), 2.5),
     lambda: lct_condition(_IDEAL, (2, 3), F(5, 2)),
     lambda: segre_class(_IDEAL, 2.5),
+    # ray axes are distinct integers in 0..n-1, vertices one or more points
+    # of one length
+    lambda: make_piece([(0, 0), (1, 0)], [5]),
+    lambda: make_piece([(0, 0), (1, 0)], [-1]),
+    lambda: make_piece([(0, 0), (1, 0)], [1.5]),
+    lambda: make_piece([(0, 0), (1, 0)], [True]),
+    lambda: make_piece([(0, 0), (1, 0)], [1, 1]),
+    lambda: make_piece([(0, 0), (1, 0, 0), (0, 1)], []),
+    lambda: make_piece([], [0, 1]),
+    # counts and arity at the other entry points
+    lambda: integrate_piece(_TRIANGLE, 3, 2),
+    lambda: integrate_piece(_TRIANGLE, 1, 2),
+    lambda: integrate_piece(_TRIANGLE, 2, 2.5),
+    lambda: TruncatedSeries(1.5, 2),
+    lambda: _SERIES.pushforward(2.5),
+    lambda: bernoulli(2.5),
+    lambda: bernoulli(True),
+    lambda: polygamma(True, 1.0),
+    lambda: polygamma_extended(1.5, 1.0),
+    lambda: make_ideal(True, [(1,)]),
+    lambda: parse_ideal("x1", n="2"),
+    lambda: solve_lp([(1, 0)], (1,)),
+    lambda: solve_lp([]),
+    lambda: solve_lp([(1, 0), (1,)]),
+    lambda: solve_lp([(F(1, 2), 1)]),
+    lambda: feasible([(1, 0)], (1, 1, 1)),
+    lambda: feasible([(1, 0)], (-1, 1, 1)),
+    lambda: solve_lp([(1, 0)], ("1", 1)),
+    lambda: feasible([(1, 0)], ("1", 1)),
+    lambda: cross_stretch_factors((0, 2)),
+    lambda: cross_stretch_factors((2.5, 2)),
+    # points are finite reals, never strings
+    lambda: contains(_POLY, ("1/2", "3")),
+    lambda: contains_lp(_POLY, ("1/2", "3")),
+    lambda: in_newton_region(_POLY, ("1/2", "3")),
+    lambda: piece_membership(_TRIANGLE, ("1/3", "1/3")),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
         "series-exponent-arity", "series-mismatch", "piece-point-arity",
@@ -76,8 +115,27 @@ _POLY = newton_polyhedron(_IDEAL)
         "diagonal-float-ell2", "config-bool-m", "config-float-cutoff",
         "kernel-float-m", "convergence-float-m", "agreement-float-m",
         "agreement-float-cutoff", "region-lct-float-m", "lct-condition-fraction-m",
-        "segre-float-ambient"])
+        "segre-float-ambient", "make_piece-axis-out-of-range",
+        "make_piece-axis-negative", "make_piece-axis-float", "make_piece-axis-bool",
+        "make_piece-axis-repeated", "make_piece-unequal-vertices",
+        "make_piece-no-vertex", "integrate-nvars-above", "integrate-nvars-below",
+        "integrate-float-bound", "series-float-nvars", "pushforward-float-degree",
+        "bernoulli-float", "bernoulli-bool", "polygamma-bool-order",
+        "polygamma-extended-float-order", "make_ideal-bool-n", "parse-string-n",
+        "solve_lp-short-target", "solve_lp-no-point", "solve_lp-unequal-points",
+        "solve_lp-fraction-point", "feasible-long-target",
+        "feasible-long-negative-target", "solve_lp-string-target",
+        "feasible-string-target", "cross-stretch-zero", "cross-stretch-float",
+        "contains-string", "contains_lp-string", "region-string",
+        "piece_membership-string"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):
         call()
+
+
+def test_negative_piece_vertex_is_refused():
+    """A piece must lie in the orthant: with the vertex (-1, 0), 1 + v.X
+    vanishes at X = (1, 1) and evaluate would divide by zero there."""
+    with pytest.raises(NegativeCoordinate):
+        make_piece([(0, 0), (-1, 0), (0, 1)], [])
