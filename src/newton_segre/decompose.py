@@ -29,7 +29,6 @@ or negative ones, and ray axes that repeat or leave 0..n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from typing import Sequence
@@ -74,10 +73,8 @@ class GeneralizedSimplex:
 
 def _coordinate(x: Rational) -> int:
     """x as an int; InvalidInput unless it is an integral rational."""
-    if isinstance(x, Rational):
-        x = Fraction(x)
-        if x.denominator == 1:
-            return x.numerator
+    if isinstance(x, Rational) and x.denominator == 1:
+        return int(x.numerator)
     raise InvalidInput(f"piece vertex coordinates are integers, got {x!r}")
 
 
@@ -88,8 +85,7 @@ def make_piece(finite_vertices: Sequence[Sequence[Rational]],
     non-integral coordinate, no vertex, vertices of unequal length, or ray
     axes (read by ideals._integers) other than distinct axes in 0..n-1;
     NegativeCoordinate for a vertex outside the orthant."""
-    vertices = tuple(tuple(x if type(x) is int else _coordinate(x) for x in v)
-                     for v in finite_vertices)
+    vertices = tuple(tuple(map(_coordinate, v)) for v in finite_vertices)
     if not vertices or any(len(v) != len(vertices[0]) for v in vertices):
         raise InvalidInput(f"piece vertices {vertices} must be one or more points of one length")
     n = len(vertices[0])
@@ -114,11 +110,13 @@ def cone_decomposition(poly: NewtonPolyhedron,
     """Generalized simplices with apex 0 tiling the Newton region.
 
     vertex_order optionally fixes the triangulation's insertion priority of
-    extreme points (default: lexicographic); changing it changes the pieces
-    but never their summed integral.
+    extreme points (default: lexicographic), each entry read by
+    ideals._integers; changing it changes the pieces but never their summed
+    integral.
     """
     points, k = poly.extreme_points, len(poly.extreme_points)
-    order = sorted(points) if vertex_order is None else [tuple(v) for v in vertex_order]
+    order = sorted(points) if vertex_order is None else [
+        _integers(v, "vertex_order entries") for v in vertex_order]
     missing = [v for v in points if v not in order]
     if missing:
         raise InvalidInput(f"vertex_order misses the extreme points {missing}")

@@ -73,8 +73,9 @@ def _integers(values: Iterable, what: str) -> tuple[int, ...]:
 
 def _rationals(values: Iterable, what: str) -> tuple[list[Fraction], bool]:
     """values as exact rationals, and whether one of them was inexact: a
-    Rational is read exactly, a finite Real (a float) as the rational it
-    stores; InvalidInput for anything else, a string or a nan included."""
+    Rational is read exactly, any other finite Real (a float, a numpy float)
+    as the rational its float64 value stores; InvalidInput for anything
+    else, a string or a nan included."""
     try:
         values, inexact = list(values), False
     except TypeError:
@@ -84,7 +85,7 @@ def _rationals(values: Iterable, what: str) -> tuple[list[Fraction], bool]:
             if not (isinstance(x, Real) and math.isfinite(x)):
                 raise InvalidInput(f"{what} must be finite real numbers: {values!r}")
             inexact = True
-    return [Fraction(x) for x in values], inexact
+    return [Fraction(x if isinstance(x, Rational) else float(x)) for x in values], inexact
 
 
 def make_ideal(n: int, raw_generators: Iterable[Sequence[int]]) -> MonomialIdeal:

@@ -36,6 +36,7 @@ cutoff.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,7 +45,7 @@ from functools import lru_cache
 
 from .errors import (CutoffTooSmall, EstimateTooLarge, InvalidInput, NonPositiveArgument,
                      PrecisionUnreachable)
-from .ideals import _integers
+from .ideals import _integers, _rationals
 
 SHIFT_THRESHOLD = 20.0
 _MAX_BERNOULLI = 60
@@ -59,8 +60,6 @@ _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
 
 
-# typed, so that True or 1.0 misses the entry cached for 1 and is refused
-@lru_cache(maxsize=8, typed=True)
 def bernoulli(K: int) -> tuple[Fraction, ...]:
     """B_2, B_4, ..., B_2K as exact rationals, from the tangent numbers T_k.
 
@@ -113,16 +112,31 @@ def _order(r: int) -> int:
     return r
 
 
+def _floats(values, what: str) -> list[float]:
+    """values read by ideals._rationals, as float64; InvalidInput for one
+    beyond the float64 range or one that rounds to 0."""
+    xs, _ = _rationals(values, what)
+    if any(abs(x) > sys.float_info.max or (x and not float(x)) for x in xs):
+        raise InvalidInput(f"{what} must lie inside the float64 range: {values!r}")
+    return [float(x) for x in xs]
+
+
 def polygamma(r: int, x):
     """psi_r at positive real x (scalar or array), in float64.
 
-    Raises InvalidInput for an order that is not an integer >= 1 or a nan
-    argument, NonPositiveArgument off the domain and PrecisionUnreachable
-    for orders above 38.
+    An ndarray, list or tuple is read by numpy as a whole, any other x by
+    _floats. Raises InvalidInput for an order that is not an integer >= 1,
+    an x its reader refuses or a nan element, NonPositiveArgument off the
+    domain and PrecisionUnreachable for orders above 38.
     """
     import numpy as np
     r = _order(r)
-    arr = np.asarray(x, dtype=np.float64)
+    if not isinstance(x, (np.ndarray, list, tuple)):
+        x = _floats((x,), "polygamma argument")[0]
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInput("polygamma argument is not an array of real numbers") from None
     scalar = arr.ndim == 0
     shifted = np.atleast_1d(arr).astype(np.float64)  # a copy the kernel works in
     if np.any(np.isnan(shifted)):
@@ -174,6 +188,7 @@ def polygamma_extended(r: int, x: float) -> float:
     """Guard path: the same scheme evaluated in numpy extended precision."""
     import numpy as np
     r = _order(r)
+    (x,) = _floats((x,), "polygamma argument")
     if x <= 0:
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
     ld = np.longdouble
@@ -184,14 +199,13 @@ def polygamma_extended(r: int, x: float) -> float:
     while shifted < ld(SHIFT_THRESHOLD):
         correction += rsign * rfact / shifted ** (r + 1)
         shifted += 1
-    sign = ld((-1.0) ** (r + 1))
-    value = sign * rfact * (shifted ** (-r) / r + shifted ** (-r - 1) / 2)
+    value = rsign * rfact * (shifted ** (-r) / r + shifted ** (-r - 1) / 2)
     table = bernoulli(_MAX_BERNOULLI)
     prev = abs(rfact * shifted ** (-r - 1) / 2)
     for k in range(1, _MAX_BERNOULLI + 1):
         frac = table[k - 1] * Fraction(math.factorial(r + 2 * k - 1),
                                        math.factorial(2 * k))
-        term = sign * (ld(frac.numerator) / ld(frac.denominator)) \
+        term = rsign * (ld(frac.numerator) / ld(frac.denominator)) \
             * shifted ** ld(-r - 2 * k)
         if abs(term) >= prev:
             break
@@ -201,7 +215,10 @@ def polygamma_extended(r: int, x: float) -> float:
 
 
 def sum_inverse_cubes(lo: int, hi: int, y: float) -> float:
-    """sum_{a=lo}^{hi} 1/(a + y)^3 through polygamma differences."""
+    """sum_{a=lo}^{hi} 1/(a + y)^3 through polygamma differences; lo and hi
+    are read by ideals._integers, y by ideals._rationals."""
+    lo, hi = _integers((lo, hi), "lo and hi")
+    (y,), _ = _rationals((y,), "y")
     if hi < lo:
         return 0.0
     return (-polygamma(2, lo + y) + polygamma(2, hi + 1 + y)) / 2.0
@@ -216,12 +233,12 @@ def verify_power_identity(ell: int, X: float, m: int) -> float:
     ell, m = _integers((ell, m), "ell and m")
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
+    (X,) = _floats((X,), "X")
     if X <= 0:
         raise NonPositiveArgument("X must be positive")
     try:
-        X = float(X)
         argument = m * ell + m / X
-    except OverflowError:  # an int or rational beyond the float range
+    except OverflowError:  # m*l beyond the float range
         argument = math.inf
     if not math.isfinite(argument):
         raise InvalidInput("the power identity needs m*l + m/X inside the float64 range")
@@ -231,7 +248,9 @@ def verify_power_identity(ell: int, X: float, m: int) -> float:
 def _identity_floats(name: str, start: int, m: int, X1, X2) -> tuple[float, float, float]:
     """X1, X2 and the prefactor m X1 / X2^2 of a two-variable identity as
     finite float64 values (else InvalidInput), with the first index m*l of
-    its tail sum within int64 (else EstimateTooLarge)."""
+    its tail sum within int64 (else EstimateTooLarge). X1 and X2 are read by
+    _floats."""
+    X1, X2 = _floats((X1, X2), f"{name} identity X1 and X2")
     if X1 <= 0 or X2 <= 0:
         raise NonPositiveArgument("parameters must be positive")
     if start > _INT64_MAX:
@@ -239,13 +258,11 @@ def _identity_floats(name: str, start: int, m: int, X1, X2) -> tuple[float, floa
             f"{name} identity sums from the index m*l, of {start.bit_length()} bits, "
             f"beyond the int64 limit {_INT64_MAX}; lower l or m")
     try:
-        X1, X2 = float(X1), float(X2)
         scale = m * X1 / (X2 * X2)
-    except (OverflowError, ZeroDivisionError):
+    except ZeroDivisionError:  # X2 * X2 underflows to 0
         scale = math.inf
-    if not all(map(math.isfinite, (X1, X2, scale))):
-        raise InvalidInput(f"{name} identity needs X1, X2 and m*X1/X2^2 inside the "
-                           "float64 range")
+    if not math.isfinite(scale):
+        raise InvalidInput(f"{name} identity needs m*X1/X2^2 inside the float64 range")
     return X1, X2, scale
 
 

@@ -5,18 +5,15 @@ ring is Z[X_1..X_n] / (total degree > D). Every series the Segre class
 builds has integer coefficients (its vertices are generators and its
 jacobians integer determinants), so coefficients are plain ints and anything
 else is refused with InvalidInput. Coefficients, scalars, nvars, degree_bound
-and top_degree are read by ideals._integers; the constructor skips that call
-for a plain int, as its loop runs on every term of every Segre division. A
-product visits only the pairs of terms whose degrees fit under the bound. Division by a series whose constant term
-is a unit of Z, 1 or -1, solves for the quotient one total degree at a time;
-inverse() is 1 / self. The Segre class divides by the linear forms (1 + v.X)
-directly; the series product and inverse() stay for other callers and for
-the benchmark's per-layer counters, which name them.
+and top_degree are read by ideals._integers. Division by a series whose
+constant term is a unit of Z, 1 or -1, solves for the quotient one total
+degree at a time; inverse() is 1 / self. The Segre class divides by the
+linear forms (1 + v.X) directly; the series product and inverse() stay for
+other callers and for the benchmark's per-layer counters, which name them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from operator import add
 from typing import Mapping, Sequence
 
@@ -31,20 +28,18 @@ class TruncatedSeries:
 
     def __init__(self, nvars: int, degree_bound: int,
                  coeffs: Mapping[Exponent, int] | None = None):
-        if type(nvars) is not int or type(degree_bound) is not int:
-            nvars, degree_bound = _integers((nvars, degree_bound), "nvars and degree_bound")
+        nvars, degree_bound = _integers((nvars, degree_bound), "nvars and degree_bound")
         if nvars < 1:
             raise InvalidInput("need at least one variable")
         if degree_bound < 0:
             raise InvalidInput("degree bound must be non-negative")
         self.nvars = nvars
         self.degree_bound = degree_bound
+        coeffs = coeffs or {}
         cleaned: dict[Exponent, int] = {}
-        for exp, c in (coeffs or {}).items():
+        for exp, c in zip(coeffs, _integers(coeffs.values(), "series coefficients")):
             if len(exp) != nvars:
                 raise InvalidInput(f"exponent {exp} has wrong arity")
-            if type(c) is not int:
-                (c,) = _integers((c,), "series coefficients")
             if c != 0 and sum(exp) <= degree_bound:
                 cleaned[exp] = c
         self.coeffs = cleaned
@@ -99,15 +94,13 @@ class TruncatedSeries:
             return TruncatedSeries(self.nvars, self.degree_bound,
                                    {e: c * f for e, c in self.coeffs.items()})
         self._compatible(other)
-        bound = self.degree_bound
-        ordered = sorted(other.coeffs.items(), key=lambda t: sum(t[0]))
-        degrees = [sum(e) for e, _ in ordered]
         out: dict[Exponent, int] = {}
-        get = out.get
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in ordered[:bisect_right(degrees, bound - sum(e1))]:
-                exp = tuple(map(add, e1, e2))
-                out[exp] = get(exp, 0) + c1 * c2
+            room = self.degree_bound - sum(e1)
+            for e2, c2 in other.coeffs.items():
+                if sum(e2) <= room:
+                    exp = tuple(map(add, e1, e2))
+                    out[exp] = out.get(exp, 0) + c1 * c2
         return TruncatedSeries(self.nvars, self.degree_bound, out)
 
     __rmul__ = __mul__
@@ -129,12 +122,11 @@ class TruncatedSeries:
         for exp, c in self.coeffs.items():
             parts[sum(exp)][exp] = c
         for d, part in enumerate(parts):
-            get = part.get
             for e1, k, c1 in rest:
                 if k <= d:
                     for e2, c2 in parts[d - k].items():
                         exp = tuple(map(add, e1, e2))
-                        part[exp] = get(exp, 0) - c1 * c2
+                        part[exp] = part.get(exp, 0) - c1 * c2
             parts[d] = {e: c0 * c for e, c in part.items() if c}
         return TruncatedSeries(self.nvars, self.degree_bound,
                                {e: c for part in parts for e, c in part.items()})

@@ -1,14 +1,17 @@
 import json
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from newton_segre import (DimensionMismatch, InvalidInput, ParseError, ZeroGenerator,
-                          lct_condition, make_ideal, monomial_str, parse_ideal,
+                          contains, lct_condition, make_ideal, monomial_str,
+                          newton_polyhedron, parse_ideal, polygamma,
                           region_condition_via_lct, serialize_ideal, stretch)
-from newton_segre.ideals import MAX_VARIABLES
+from newton_segre.ideals import MAX_VARIABLES, _rationals
 from tests.conftest import random_ideal, traced_peak
 
 _IDEALS = st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -236,3 +239,13 @@ def test_width_at_the_bound_is_accepted():
 def test_monomial_str():
     assert monomial_str((2, 0, 1)) == "x1^2*x3"
     assert monomial_str((0, 1)) == "x2"
+
+
+def test_numpy_float_points_read_as_their_float64_value():
+    """A numpy float scalar is a point like a Python float: every reader of
+    points takes it as the rational its float64 value stores."""
+    assert _rationals((np.float32(0.5), np.float64(0.25)), "x") == (
+        [Fraction(1, 2), Fraction(1, 4)], True)
+    assert polygamma(1, np.float32(0.5)) == polygamma(1, 0.5)
+    poly = newton_polyhedron(make_ideal(2, [(2, 0), (0, 3)]))
+    assert contains(poly, (np.float32(1.5), 1)) == contains(poly, (1.5, 1))

@@ -10,8 +10,8 @@ from newton_segre import (EstimatorConfig, GeneralizedSimplex, InvalidInput,
                           in_newton_region, integrate_piece, kernel_term, make_ideal,
                           make_piece, mode_agreement_report, newton_polyhedron,
                           parse_ideal, polygamma, polygamma_extended, segre_class,
-                          solve_lp, verify_diagonal_identity, verify_power_identity,
-                          verify_two_variable_identity)
+                          solve_lp, sum_inverse_cubes, verify_diagonal_identity,
+                          verify_power_identity, verify_two_variable_identity)
 from newton_segre.decompose import piece_membership
 from newton_segre.lct import lct_condition, region_condition_via_lct
 from newton_segre.linalg import det
@@ -102,6 +102,23 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     lambda: contains_lp(_POLY, ("1/2", "3")),
     lambda: in_newton_region(_POLY, ("1/2", "3")),
     lambda: piece_membership(_TRIANGLE, ("1/3", "1/3")),
+    # identity points are finite reals inside the float64 range
+    lambda: verify_power_identity(2, "0.5", 10),
+    lambda: verify_two_variable_identity(2, "0.5", 0.5, 10),
+    lambda: verify_diagonal_identity(2, 3, "0.5", 0.5, 10),
+    lambda: verify_power_identity(2, math.inf, 10),
+    lambda: verify_power_identity(2, F(1, 10 ** 400), 10),
+    lambda: verify_two_variable_identity(2, F(1, 10 ** 400), 0.5, 10),
+    # polygamma counts are integers, points finite reals, arrays float64
+    lambda: polygamma(1, "a"),
+    lambda: polygamma(1, ["a", 1.0]),
+    lambda: polygamma(1, 10 ** 400),
+    lambda: polygamma_extended(1, "a"),
+    lambda: sum_inverse_cubes(1.5, 3, 0.5),
+    lambda: sum_inverse_cubes(1, 3, "a"),
+    # vertex_order entries are integer points
+    lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), 5]),
+    lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), "ab"]),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
         "series-exponent-arity", "series-mismatch", "piece-point-arity",
@@ -127,7 +144,11 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "feasible-long-negative-target", "solve_lp-string-target",
         "feasible-string-target", "cross-stretch-zero", "cross-stretch-float",
         "contains-string", "contains_lp-string", "region-string",
-        "piece_membership-string"])
+        "piece_membership-string", "power-string-X", "two-var-string-X1",
+        "diagonal-string-X1", "power-infinite-X", "power-underflowing-X",
+        "two-var-underflowing-X1", "polygamma-string", "polygamma-string-array",
+        "polygamma-huge-int", "polygamma-extended-string", "sum-cubes-float-lo",
+        "sum-cubes-string-y", "vertex-order-int-entry", "vertex-order-string-entry"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):
