@@ -28,6 +28,7 @@ or negative ones, and ray axes that repeat or leave 0..n-1.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import lcm
 from numbers import Rational
@@ -110,10 +111,12 @@ def cone_decomposition(poly: NewtonPolyhedron,
     """Generalized simplices with apex 0 tiling the Newton region.
 
     vertex_order optionally fixes the triangulation's insertion priority of
-    extreme points (default: lexicographic), each entry read by
-    ideals._integers; changing it changes the pieces but never their summed
-    integral.
+    extreme points (default: lexicographic): an iterable of points, each
+    read by ideals._integers; changing it changes the pieces but never their
+    summed integral.
     """
+    if vertex_order is not None and not isinstance(vertex_order, Iterable):
+        raise InvalidInput(f"vertex_order must be an iterable of points, got {vertex_order!r}")
     points, k = poly.extreme_points, len(poly.extreme_points)
     order = sorted(points) if vertex_order is None else [
         _integers(v, "vertex_order entries") for v in vertex_order]

@@ -46,13 +46,13 @@ that exact mode enumerates, up to float rounding.
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
 (EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
-integer denominators would leave int64; both it and the float path refuse
-when the facet values c*m + w.a over the box would. Below that it
-enumerates the box in blocks of about 2^13 points split along its longest
-axis, so its memory grows only with the number of distinct denominators.
-The lct_based mode reads the facets as Python ints. Like kernel_term, the
-lct_based mode sums exactly from the rational value of every X_i and
-converts to float only at return, in float64 mode.
+integer denominators would leave int64; both it and the float path read
+the polyhedron's int facets and refuse when c*m + w.a over the box would.
+Below that it enumerates the box in blocks of about 2^13 points split along
+its longest axis, so its memory grows only with the number of distinct
+denominators. Like kernel_term, the lct_based mode sums exactly from the
+rational value of every X_i and converts to float only at return, in
+float64 mode.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities of the region; "lct_based" rebuilds, for every lattice point,
@@ -80,7 +80,7 @@ from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
 from .ideals import MonomialIdeal, _integers
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
-from .polyhedron import NewtonPolyhedron, in_newton_region, newton_polyhedron
+from .polyhedron import Facet, NewtonPolyhedron, in_newton_region, newton_polyhedron
 from .segre import _exact_point, evaluate
 
 MEMBERSHIP = "membership_based"
@@ -95,6 +95,8 @@ MAX_LCT_POINTS = 200_000
 
 @dataclass
 class EstimatorConfig:
+    """Settings of one estimate; X is stored as read, a tuple of Fractions."""
+
     m: int
     X: tuple
     condition_mode: str = MEMBERSHIP
@@ -106,9 +108,10 @@ class EstimatorConfig:
         (self.m,) = _integers((self.m,), "m")
         if self.m < 1:
             raise InvalidInput(f"m must be a positive integer, got {self.m}")
-        self.X = tuple(self.X)
-        if _exact_point(self.X)[1] and self.arithmetic == EXACT:
+        xs, inexact = _exact_point(self.X)
+        if inexact and self.arithmetic == EXACT:
             raise InvalidInput("exact_rational arithmetic needs rational X")
+        self.X = tuple(xs)
         if self.condition_mode not in (MEMBERSHIP, LCT_BASED):
             raise InvalidInput(f"unknown condition mode {self.condition_mode!r}")
         if self.arithmetic not in (EXACT, FLOAT64):
@@ -175,13 +178,10 @@ def _axis_limits(poly: NewtonPolyhedron, m: int,
     return core, limits
 
 
-def _int_facets(poly: NewtonPolyhedron, m: int,
-                limits: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Diagram facets as int64 arrays (W, C): member iff some W.a <= C*m.
-
-    Every W.a and C*m over the box 1 <= a <= limits is at most
-    c*m + sum_j w_j*limit_j; beyond int64 that raises EstimateTooLarge."""
-    import numpy as np
+def _int_facets(poly: NewtonPolyhedron, m: int, limits: Sequence[int]) -> tuple[Facet, ...]:
+    """The diagram facets (member iff some w.a <= c*m), once every w.a and c*m
+    over the box 1 <= a <= limits, at most c*m + sum_j w_j*limit_j, is known
+    to fit in int64; EstimateTooLarge otherwise."""
     facets = poly.diagram_facets
     largest = max(f.offset * m + sum(w * limit for w, limit in zip(f.normal, limits))
                   for f in facets)
@@ -189,27 +189,20 @@ def _int_facets(poly: NewtonPolyhedron, m: int,
         raise EstimateTooLarge(
             f"facet arithmetic reaches {largest}, beyond the int64 limit "
             f"{_INT64_MAX}; lower m or ray_cutoff")
-    W = np.array([f.normal for f in facets], dtype=np.int64)
-    C = np.array([f.offset for f in facets], dtype=np.int64)
-    return W, C
+    return facets
 
 
-def _member_mask(W: np.ndarray, C: np.ndarray, m: int,
+def _member_mask(facets: Sequence[Facet], m: int,
                  grids: Sequence[np.ndarray]) -> np.ndarray:
     """Boolean mask of region membership on a meshgrid of lattice points."""
-    import numpy as np
     mask = None
-    for f in range(W.shape[0]):
-        value = np.zeros_like(grids[0], dtype=np.int64)
-        for axis, g in enumerate(grids):
-            if W[f, axis]:
-                value = value + W[f, axis] * g
-        this = value <= C[f] * m
+    for f in facets:
+        this = sum(w * g for w, g in zip(f.normal, grids) if w) <= f.offset * m
         mask = this if mask is None else (mask | this)
     return mask
 
 
-def _column_tops(W: np.ndarray, C: np.ndarray, m: int, k: int,
+def _column_tops(facets: Sequence[Facet], m: int, k: int,
                  outer: Sequence, lo: int, hi: int) -> np.ndarray:
     """Per column along axis k: the largest member a_k in [lo, hi], else lo - 1.
 
@@ -219,13 +212,11 @@ def _column_tops(W: np.ndarray, C: np.ndarray, m: int, k: int,
     """
     import numpy as np
     top = None
-    for f in range(W.shape[0]):
-        slack = int(C[f]) * m
-        for j, a in enumerate(outer):
-            if j != k and W[f, j]:
-                slack = slack - int(W[f, j]) * a
-        if W[f, k]:
-            t = np.floor_divide(slack, int(W[f, k]))
+    for f in facets:
+        slack = f.offset * m - sum(w * a for j, (w, a) in enumerate(zip(f.normal, outer))
+                                   if j != k and w)
+        if f.normal[k]:
+            t = np.floor_divide(slack, f.normal[k])
         else:
             t = np.where(slack >= 0, hi, lo - 1)
         top = t if top is None else np.maximum(top, t)
@@ -277,8 +268,7 @@ def _float_params(X: Sequence, n: int) -> list[float]:
 def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig, limits: list[int]) -> None:
     """Crude rigorous bound for the part beyond the cutoff on unbounded axes,
     exact, so it holds for any X the estimating mode accepts."""
-    m, n = cfg.m, poly.n
-    xs = [Fraction(x) for x in cfg.X]
+    m, n, xs = cfg.m, poly.n, cfg.X
     total = Fraction(0)
     for axis in range(n):
         if all(f.normal[axis] for f in poly.diagram_facets):
@@ -300,7 +290,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     import numpy as np
     m, n = cfg.m, poly.n
     xs = _float_params(cfg.X, n)
-    W, C = _int_facets(poly, m, limits)
+    facets = _int_facets(poly, m, limits)
 
     free = [i for i in range(n) if 0 < core[i] < limits[i]]  # the rest are fixed
     if 2 ** len(free) > MAX_COLUMNS:
@@ -312,12 +302,12 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         tail = [picked.get(i, core[i] == 0) for i in range(n)]
         ranges = [(core[i] + 1, limits[i]) if tail[i] else (1, core[i])
                   for i in range(n)]
-        rows = np.all(W[:, tail] == 0, axis=1)
-        if any(lo > hi for lo, hi in ranges) or not rows.any():
+        blind = [f for f in facets if not any(f.normal[i] for i in range(n) if tail[i])]
+        if any(lo > hi for lo, hi in ranges) or not blind:
             continue
         k = max((i for i in range(n) if tail[i] or not any(tail)),
                 key=lambda i: ranges[i][1] - ranges[i][0])
-        cells.append((rows, ranges, k))
+        cells.append((blind, ranges, k))
         columns += math.prod(hi - lo + 1 for j, (lo, hi) in enumerate(ranges) if j != k)
         if columns > MAX_COLUMNS:
             raise EstimateTooLarge(
@@ -325,8 +315,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
                 f"limit of {MAX_COLUMNS}; lower m or ray_cutoff")
 
     parts = []
-    for rows, ranges, k in cells:
-        Wc, Cc = W[rows], C[rows]
+    for blind, ranges, k in cells:
         lo, hi = ranges[k]
         # the outer grid (axis k pinned to 0) as sparse axes, split along its
         # longest axis into blocks of about _CHUNK columns each
@@ -340,7 +329,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
                                   for j, (start, stop) in enumerate(grid)),
                                 indexing="ij", sparse=True)
             y = (m + sum(a * x for a, x in zip(outer, xs))) / xs[k]
-            tops = np.broadcast_to(_column_tops(Wc, Cc, m, k, outer, lo, hi), y.shape)
+            tops = np.broadcast_to(_column_tops(blind, m, k, outer, lo, hi), y.shape)
             keep = tops >= lo
             y = y[keep]
             if y.size:
@@ -358,8 +347,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     over distinct denominator values instead of over lattice points.
     """
     import numpy as np
-    m, n = cfg.m, poly.n
-    xs = [Fraction(x) for x in cfg.X]
+    m, n, xs = cfg.m, poly.n, cfg.X
     L = math.lcm(*(x.denominator for x in xs))
     lx = [int(x * L) for x in xs]
     if any(limit < 1 for limit in limits):
@@ -374,7 +362,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         raise EstimateTooLarge(
             f"exact estimate needs denominator values up to {largest}, beyond "
             f"the int64 limit {_INT64_MAX}")
-    W, C = _int_facets(poly, m, limits)
+    facets = _int_facets(poly, m, limits)
 
     # the box split along its longest axis into blocks of about _CHUNK points
     s = limits.index(max(limits))
@@ -383,7 +371,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         grids = np.meshgrid(*(np.arange(first, last, dtype=np.int64) if i == s else
                               np.arange(1, limit + 1, dtype=np.int64)
                               for i, limit in enumerate(limits)), indexing="ij")
-        mask = _member_mask(W, C, m, grids)
+        mask = _member_mask(facets, m, grids)
         k = L * m + sum(x * g for x, g in zip(lx, grids))
         values, reps = np.unique(k[mask], return_counts=True)
         for v, c in zip(values.tolist(), reps.tolist()):
@@ -405,17 +393,15 @@ def _estimate_bruteforce(ideal: MonomialIdeal, cfg: EstimatorConfig, limits: lis
     cross-stretched ideal and comparing its threshold against m. The sum is
     exact, and converted to float at return in float64 mode.
     """
-    m = cfg.m
     points = math.prod(max(limit, 0) for limit in limits)
     if points > MAX_LCT_POINTS:
         raise EstimateTooLarge(
             f"lct_based mode would rebuild {points} stretched ideals; lower m "
             "or ray_cutoff, or use membership_based mode")
-    xs = [Fraction(x) for x in cfg.X]
     total = Fraction(0)
     for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
-        if region_condition_via_lct(ideal, a, m):
-            total += kernel_term(a, m, xs)
+        if region_condition_via_lct(ideal, a, cfg.m):
+            total += kernel_term(a, cfg.m, cfg.X)
     return total if cfg.arithmetic == EXACT else float(total)
 
 
@@ -468,6 +454,8 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
 
     m, cutoff = _integers((m, 4 * m if scan_cutoff is None else scan_cutoff),
                           "m and scan_cutoff")
+    if m < 1 or cutoff < 1:
+        raise InvalidInput(f"m and scan_cutoff must be positive, got {m} and {cutoff}")
     poly = newton_polyhedron(ideal)
     _, limits = _axis_limits(poly, m, cutoff)
     scanned = math.prod(limits[1:])
@@ -475,7 +463,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
         raise EstimateTooLarge(
             f"mode agreement would scan {scanned} lattice columns, above the limit "
             f"of {MAX_LCT_POINTS}; lower m or scan_cutoff")
-    W, C = _int_facets(poly, m, limits)
+    facets = _int_facets(poly, m, limits)
     counter = [0]
     interior = 0
     edge = 0
@@ -483,7 +471,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
     b1 = limits[0]
     columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
     outer = [None] + [np.array(c, dtype=np.int64) for c in zip(*columns)]
-    tops = np.broadcast_to(_column_tops(W, C, m, 0, outer, 1, b1), (len(columns),))
+    tops = np.broadcast_to(_column_tops(facets, m, 0, outer, 1, b1), (len(columns),))
 
     def holds(a1: int, rest: tuple[int, ...]) -> bool:
         """The threshold-side test at (a1, *rest); True below the box."""

@@ -5,15 +5,18 @@ ring is Z[X_1..X_n] / (total degree > D). Every series the Segre class
 builds has integer coefficients (its vertices are generators and its
 jacobians integer determinants), so coefficients are plain ints and anything
 else is refused with InvalidInput. Coefficients, scalars, nvars, degree_bound
-and top_degree are read by ideals._integers. Division by a series whose
-constant term is a unit of Z, 1 or -1, solves for the quotient one total
-degree at a time; inverse() is 1 / self. The Segre class divides by the
-linear forms (1 + v.X) directly; the series product and inverse() stay for
-other callers and for the benchmark's per-layer counters, which name them.
+and top_degree are read by ideals._integers, and so are all exponents of a
+series in one call: each is a tuple of nvars non-negative ints. Division by
+a series whose constant term is a unit of Z, 1 or -1, solves for the
+quotient one total degree at a time; inverse() is 1 / self. The Segre class
+divides by the linear forms (1 + v.X) directly; the series product and
+inverse() stay for other callers and for the benchmark's per-layer
+counters, which name them.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import add
 from typing import Mapping, Sequence
 
@@ -36,13 +39,14 @@ class TruncatedSeries:
         self.nvars = nvars
         self.degree_bound = degree_bound
         coeffs = coeffs or {}
-        cleaned: dict[Exponent, int] = {}
-        for exp, c in zip(coeffs, _integers(coeffs.values(), "series coefficients")):
-            if len(exp) != nvars:
-                raise InvalidInput(f"exponent {exp} has wrong arity")
-            if c != 0 and sum(exp) <= degree_bound:
-                cleaned[exp] = c
-        self.coeffs = cleaned
+        if not all(isinstance(exp, tuple) and len(exp) == nvars for exp in coeffs):
+            raise InvalidInput(f"series exponents must be tuples of {nvars} integers")
+        flat = _integers(chain.from_iterable(coeffs), "series exponents")
+        if min(flat, default=0) < 0:
+            raise InvalidInput(f"series exponents must be non-negative, got {list(coeffs)}")
+        exps = zip(*[iter(flat)] * nvars)  # flat cut back into nvars-tuples
+        values = _integers(coeffs.values(), "series coefficients")
+        self.coeffs = {e: c for e, c in zip(exps, values) if c != 0 and sum(e) <= degree_bound}
 
     # ---- constructors -------------------------------------------------
 
@@ -62,7 +66,10 @@ class TruncatedSeries:
     @classmethod
     def one_plus_linear(cls, nvars: int, degree_bound: int,
                         v: Sequence[int]) -> "TruncatedSeries":
-        """1 + v_1 X_1 + ... + v_n X_n."""
+        """1 + v_1 X_1 + ... + v_n X_n; v must have nvars entries."""
+        v = _integers(v, "linear coefficients")
+        if len(v) != nvars:
+            raise InvalidInput(f"linear coefficients {v} must have {nvars} entries")
         coeffs: dict[Exponent, int] = {(0,) * nvars: 1}
         for i, vi in enumerate(v):
             if vi:

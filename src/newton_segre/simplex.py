@@ -10,7 +10,8 @@ is a convex combination below p. As p >= 0 the slack basis is a feasible
 start, and as no v_j is zero the optimum is finite.
 
 The points are read by ideals._integers and the target by ideals._rationals;
-there must be a point, and the points and the target must have one length.
+there must be a point, none with a negative coordinate, and the points and
+the target must have one length.
 The tableau holds only ints: rows [v_j | I | L*p], L the lcm of the target's
 denominators, and the reduced costs as the last row. It pivots only through
 linalg._pivot, the fraction-free (Bareiss) step, so each entry is D times
@@ -42,6 +43,8 @@ def _lp_input(points: Sequence[Sequence[int]], target: Sequence[Fraction | int] 
     rows = [_integers(v, "packing LP points") for v in points]
     if not rows:
         raise InvalidInput("packing LP needs at least one point")
+    if any(x < 0 for v in rows for x in v):
+        raise InvalidInput(f"packing LP points must be non-negative, got {rows}")
     n = len(rows[0])
     p, _ = _rationals((1,) * n if target is None else target, "packing LP target")
     if any(len(v) != n for v in rows) or len(p) != n:

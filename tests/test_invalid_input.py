@@ -119,6 +119,27 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     # vertex_order entries are integer points
     lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), 5]),
     lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), "ab"]),
+    # vertex_order itself is an iterable; m and the scan cutoff are positive
+    lambda: cone_decomposition(_POLY, 5),
+    lambda: mode_agreement_report(_IDEAL, 0),
+    lambda: mode_agreement_report(_IDEAL, -1),
+    lambda: mode_agreement_report(_IDEAL, 2, scan_cutoff=-5),
+    lambda: mode_agreement_report(_IDEAL, 2, scan_cutoff=0),
+    # the estimator's X is a point, not a number
+    lambda: EstimatorConfig(m=5, X=3),
+    # series exponents are tuples of nvars non-negative integers, and a
+    # linear form has nvars coefficients
+    lambda: TruncatedSeries(2, 3, {(-1, 0): 1}),
+    lambda: TruncatedSeries(2, 3, {(1.5, 0): 1}),
+    lambda: TruncatedSeries(2, 3, {("a", 0): 1}),
+    lambda: TruncatedSeries(2, 3, {5: 1}),
+    lambda: TruncatedSeries.monomial(2, 3, (-1, 2)),
+    lambda: TruncatedSeries.one_plus_linear(2, 3, (1, 2, 3)),
+    lambda: TruncatedSeries.one_plus_linear(2, 3, (1,)),
+    # packing LP points are non-negative
+    lambda: solve_lp([(-1, -1)]),
+    lambda: solve_lp([(1, -1)]),
+    lambda: feasible([(-1, -1)], (1, 1)),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
         "series-exponent-arity", "series-mismatch", "piece-point-arity",
@@ -148,7 +169,13 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "diagonal-string-X1", "power-infinite-X", "power-underflowing-X",
         "two-var-underflowing-X1", "polygamma-string", "polygamma-string-array",
         "polygamma-huge-int", "polygamma-extended-string", "sum-cubes-float-lo",
-        "sum-cubes-string-y", "vertex-order-int-entry", "vertex-order-string-entry"])
+        "sum-cubes-string-y", "vertex-order-int-entry", "vertex-order-string-entry",
+        "vertex-order-int", "agreement-zero-m", "agreement-negative-m",
+        "agreement-negative-cutoff", "agreement-zero-cutoff", "config-scalar-X",
+        "series-negative-exponent", "series-float-exponent", "series-string-exponent",
+        "series-int-key", "monomial-negative-exponent", "linear-form-too-long",
+        "linear-form-too-short", "solve_lp-negative-point", "solve_lp-mixed-sign-point",
+        "feasible-negative-point"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):

@@ -275,9 +275,9 @@ def test_column_tops_match_point_tests():
                     (3, [(2, 0, 0), (0, 3, 0), (1, 1, 1)]),
                     (3, [(2, 1, 0), (0, 3, 1), (1, 0, 2)])):
         poly = newton_polyhedron(make_ideal(n, gens))
-        W, C = _int_facets(poly, m, [hi] * n)
+        facets = _int_facets(poly, m, [hi] * n)
         grids = list(np.meshgrid(*axes[:n - 1], indexing="ij"))
-        tops = np.broadcast_to(_column_tops(W, C, m, n - 1, grids + [None], lo, hi),
+        tops = np.broadcast_to(_column_tops(facets, m, n - 1, grids + [None], lo, hi),
                                grids[0].shape)
         for index, top in np.ndenumerate(tops):
             rest = [int(g[index]) for g in grids]
