@@ -49,7 +49,7 @@ class PrecisionUnreachable(NewtonSegreError):
 
 
 class CutoffTooSmall(NewtonSegreError):
-    """A truncation cutoff leaves an estimated tail above the requested tolerance."""
+    """A truncation cutoff leaves an estimated tail above its tolerance or target."""
 
 
 class InvalidInput(NewtonSegreError, ValueError):

@@ -77,7 +77,7 @@ from typing import Sequence
 
 from .decompose import cone_decomposition
 from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
-from .ideals import MonomialIdeal, _integers
+from .ideals import MonomialIdeal, _integers, _rationals
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
 from .polyhedron import Facet, NewtonPolyhedron, in_newton_region, newton_polyhedron
@@ -95,7 +95,7 @@ MAX_LCT_POINTS = 200_000
 
 @dataclass
 class EstimatorConfig:
-    """Settings of one estimate; X is stored as read, a tuple of Fractions."""
+    """Settings of one estimate; X and tail_tolerance are stored as read, as Fractions."""
 
     m: int
     X: tuple
@@ -122,6 +122,11 @@ class EstimatorConfig:
         if self.ray_cutoff < self.m:
             raise InvalidInput(
                 f"ray_cutoff {self.ray_cutoff} must be at least m = {self.m}")
+        if self.tail_tolerance is not None:
+            (self.tail_tolerance,), _ = _rationals((self.tail_tolerance,), "tail_tolerance")
+            if self.tail_tolerance <= 0:
+                raise InvalidInput(
+                    f"tail_tolerance must be positive, got {float(self.tail_tolerance)}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +151,12 @@ class ModeAgreement:
 def kernel_term(a: Sequence[int], m: int, X: Sequence):
     """One summand of the estimator, exact; a float when some X_i is a float."""
     *a, m = _integers((*a, m), "a and m")
+    xs, inexact = _exact_point(X)
     n = len(a)
-    if len(X) != n:
+    if len(xs) != n:
         raise InvalidInput("a and X must have the same length")
     if m < 1 or any(ai < 1 for ai in a):
         raise InvalidInput("kernel is defined for m >= 1 and a_i >= 1")
-    xs, inexact = _exact_point(X)
     num = m * math.factorial(n) * math.prod(xs)
     value = num / (m + sum(ai * x for ai, x in zip(a, xs))) ** (n + 1)
     return float(value) if inexact else value
@@ -281,7 +286,7 @@ def _check_tail(poly: NewtonPolyhedron, cfg: EstimatorConfig, limits: list[int])
     if total > cfg.tail_tolerance:
         raise CutoffTooSmall(
             f"estimated tail {float(total):.3e} beyond cutoff {cfg.ray_cutoff} exceeds "
-            f"tolerance {cfg.tail_tolerance:.3e}")
+            f"tolerance {float(cfg.tail_tolerance):.3e}")
 
 
 def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
@@ -418,7 +423,7 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
     m_list = _integers(m_list, "m_list entries")
     if list(m_list) != sorted(m_list):
         raise InvalidInput("m_list must be increasing")
-    _check_length(ideal, X)
+    _check_length(ideal, _exact_point(X)[0])
     poly = newton_polyhedron(ideal)  # built here, so no row's time includes it
     timed = []
     for m in m_list:

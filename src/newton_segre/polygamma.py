@@ -26,11 +26,12 @@ Bernoulli numbers come exactly from the integer tangent numbers.
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
 l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)); callers compare the returned values
-against those targets. The two-variable and diagonal checks count their
-psi_2 terms before allocating anything and refuse more than MAX_COLUMNS
-(2^22) of them with EstimateTooLarge stating the count; below that they sum
-the terms in blocks of _CHUNK, so their memory does not grow with m or the
-cutoff.
+against those targets. The two-variable and diagonal checks end in one
+tail sum, cut at tail_cutoff (by default the smallest cutoff whose estimated
+rest is below a fixed 1e-4). They count their psi_2 terms before allocating
+anything and refuse more than MAX_COLUMNS (2^22) of them with
+EstimateTooLarge stating the count; below that they sum the terms in blocks
+of _CHUNK, so their memory does not grow with m or the cutoff.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ _MAX_BERNOULLI = 60
 MAX_COLUMNS = 1 << 22
 _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
+# Largest estimated rest that the identity checks leave past their cutoff.
+_REST_TARGET = 1e-4
 
 
 def bernoulli(K: int) -> tuple[Fraction, ...]:
@@ -245,11 +248,19 @@ def verify_power_identity(ell: int, X: float, m: int) -> float:
     return (m / X) * polygamma(1, argument)
 
 
-def _identity_floats(name: str, start: int, m: int, X1, X2) -> tuple[float, float, float]:
-    """X1, X2 and the prefactor m X1 / X2^2 of a two-variable identity as
-    finite float64 values (else InvalidInput), with the first index m*l of
-    its tail sum within int64 (else EstimateTooLarge). X1 and X2 are read by
-    _floats."""
+def _tail(name: str, first: int, start: int, m: int, X1, X2,
+          tail_cutoff: int | None) -> tuple[float, float, float, int, float]:
+    """X1, X2, the prefactor m X1 / X2^2, the cutoff and the estimated rest
+    of sum_{a1 >= start} psi_2((m + a1 X1 + X2) / X2), the tail both
+    two-variable identities end in, for a check summing a1 = first..cutoff.
+
+    X1 and X2 are read by _floats, tail_cutoff by _integers. The default
+    cutoff is the smallest whose rest, estimated from psi_2(y) ~ -y^-2 by an
+    integral comparison, is below _REST_TARGET, plus headroom. The terms are
+    counted before the cutoff is cast to int (the rule's cutoff is a float,
+    infinite when X1 is tiny); more than MAX_COLUMNS raise EstimateTooLarge,
+    a cutoff below start or a rest above _REST_TARGET CutoffTooSmall.
+    """
     X1, X2 = _floats((X1, X2), f"{name} identity X1 and X2")
     if X1 <= 0 or X2 <= 0:
         raise NonPositiveArgument("parameters must be positive")
@@ -263,35 +274,9 @@ def _identity_floats(name: str, start: int, m: int, X1, X2) -> tuple[float, floa
         scale = math.inf
     if not math.isfinite(scale):
         raise InvalidInput(f"{name} identity needs m*X1/X2^2 inside the float64 range")
-    return X1, X2, scale
-
-
-def _psi2_tail(first_excluded: float, X1: float, X2: float, shift: float) -> float:
-    """Estimate of sum_{a1 >= first_excluded} psi_2((shift + a1 X1) / X2).
-
-    Uses the heuristic psi_2(y) ~ -y^-2 and an integral comparison.
-    """
-    return -(X2 * X2 / X1) / (shift + first_excluded * X1)
-
-
-def _truncation(name: str, first: int, start: int, X1: float, X2: float,
-                m: int, tail_cutoff: int | None, tolerance: float) -> tuple[int, float]:
-    """The last summed index and the estimated tail beyond it.
-
-    The sum runs over a1 = first..tail_cutoff with the tail rule applying
-    from start on, to terms psi_2((shift + a1 X1) / X2) with shift = m + X2
-    in both identities. The default cutoff is the smallest one whose
-    estimated tail is below tolerance/10, plus headroom. The terms are
-    counted before the cutoff is cast to int (the rule's cutoff is a float,
-    infinite when X1 is tiny) or anything is allocated, and more than
-    MAX_COLUMNS of them raise EstimateTooLarge with the count.
-    """
-    if not tolerance > 0:
-        raise InvalidInput(f"tolerance must be positive, got {tolerance}")
     shift = m + X2
     if tail_cutoff is None:
-        target = tolerance / 10.0
-        needed = ((X2 * X2 / X1) / target - shift) / X1
+        needed = ((X2 * X2 / X1) / _REST_TARGET - shift) / X1
         tail_cutoff = max(start + 20 * m, needed) + 1
     else:
         (tail_cutoff,) = _integers((tail_cutoff,), "tail_cutoff")
@@ -299,16 +284,16 @@ def _truncation(name: str, first: int, start: int, X1: float, X2: float,
     if terms > MAX_COLUMNS:
         raise EstimateTooLarge(
             f"{name} identity needs {terms:.0f} polygamma terms, above the limit "
-            f"of {MAX_COLUMNS}; lower m or the cutoff, or raise X1 or the tolerance")
+            f"of {MAX_COLUMNS}; lower m or the cutoff, or raise X1")
     tail_cutoff = int(tail_cutoff)
     if tail_cutoff < start:
         raise CutoffTooSmall(f"tail_cutoff {tail_cutoff} below the first index {start}")
-    tail = _psi2_tail(tail_cutoff + 1, X1, X2, shift)
-    if abs(tail) > tolerance / 10.0:
+    rest = -(X2 * X2 / X1) / (shift + (tail_cutoff + 1) * X1)
+    if abs(rest) > _REST_TARGET:
         raise CutoffTooSmall(
-            f"estimated tail {abs(tail):.3e} exceeds {tolerance / 10.0:.3e} "
+            f"estimated tail {abs(rest):.3e} exceeds {_REST_TARGET:.3e} "
             f"at cutoff {tail_cutoff}")
-    return tail_cutoff, tail
+    return X1, X2, scale, tail_cutoff, rest
 
 
 def _blocks(start: int, stop: int, width: int = 1):
@@ -331,45 +316,39 @@ def _psi2_sum(first: int, last: int, argument) -> float:
 
 
 def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
-                                 tail_cutoff: int | None = None,
-                                 tolerance: float = 1e-3) -> float:
+                                 tail_cutoff: int | None = None) -> float:
     """Finite-m value of the two-variable lattice identity for (x1^ell).
 
     Evaluates 1 - (-m X1 / X2^2) * sum_{a1 >= m*ell} psi_2((m + a1 X1 + X2)/X2)
-    with the sum truncated at tail_cutoff and the remainder estimated from
-    psi_2(y) ~ -y^-2. Approaches ell*X1 / (1 + ell*X1) as m grows.
+    with the sum truncated at tail_cutoff and the rest estimated from
+    psi_2(y) ~ -y^-2 (see _tail). Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
     ell, m = _integers((ell, m), "ell and m")
     if ell < 1 or m < 1:
         raise InvalidInput("ell and m must be positive integers")
     start = m * ell
-    X1, X2, scale = _identity_floats("two-variable", start, m, X1, X2)
-    tail_cutoff, tail = _truncation("two-variable", start, start, X1, X2,
-                                    m, tail_cutoff, tolerance)
-    total = _psi2_sum(start, tail_cutoff, lambda a1: (m + a1 * X1 + X2) / X2) + tail
+    X1, X2, scale, cutoff, rest = _tail("two-variable", start, start, m, X1, X2, tail_cutoff)
+    total = _psi2_sum(start, cutoff, lambda a1: (m + a1 * X1 + X2) / X2) + rest
     return 1.0 + scale * total
 
 
 def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
-                             tail_cutoff: int | None = None,
-                             tolerance: float = 1e-3) -> float:
+                             tail_cutoff: int | None = None) -> float:
     """Finite-m value of the two-variable lattice identity for (x1^l1, x2^l2).
 
     1 + (m X1 / X2^2) * ( sum_{a1=1}^{m*l1 - 1} psi_2(m*l2 - floor(a1 l2 / l1)
                                                  + (m + a1 X1)/X2)
-                          + sum_{a1 >= m*l1} psi_2(1 + (m + a1 X1)/X2) ),
+                          + sum_{a1 >= m*l1} psi_2((m + a1 X1 + X2)/X2) ),
     the staircase sum written verbatim, floor convention included; the second
-    sum is truncated and tail-estimated. Approaches
-    l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)).
+    sum is the two-variable identity's tail at l = l1, cut and estimated as
+    there. Approaches l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)).
     """
     import numpy as np
     ell1, ell2, m = _integers((ell1, ell2, m), "ell1, ell2 and m")
     if ell1 < 1 or ell2 < 1 or m < 1:
         raise InvalidInput("ell1, ell2, m must be positive integers")
     start = m * ell1
-    X1, X2, scale = _identity_floats("diagonal", start, m, X1, X2)
-    tail_cutoff, tail = _truncation("diagonal", 1, start, X1, X2,
-                                    m, tail_cutoff, tolerance)
+    X1, X2, scale, cutoff, rest = _tail("diagonal", 1, start, m, X1, X2, tail_cutoff)
     largest = max(m, start - 1) * ell2  # the staircase runs in int64
     if largest > _INT64_MAX:
         raise EstimateTooLarge(
@@ -377,5 +356,5 @@ def verify_diagonal_identity(ell1: int, ell2: int, X1: float, X2: float, m: int,
             f"bits, beyond the int64 limit {_INT64_MAX}; lower l2 or m")
     first = _psi2_sum(1, start - 1, lambda a1: (
         (m * ell2 - (a1 * ell2) // ell1).astype(np.float64) + (m + a1 * X1) / X2))
-    second = _psi2_sum(start, tail_cutoff, lambda b1: 1.0 + (m + b1 * X1) / X2) + tail
+    second = _psi2_sum(start, cutoff, lambda a1: (m + a1 * X1 + X2) / X2) + rest
     return 1.0 + scale * (first + second)

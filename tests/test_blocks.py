@@ -42,8 +42,9 @@ CASES = {
     "tail": lambda: float_estimate([(2, 0), (1, 1)], 10, (F(1, 2), F(2, 3)), cutoff=250),
     # exact mode enumerates the 82 x 123 box along its longest axis
     "exact": lambda: exact_estimate([(2, 0), (1, 1), (0, 3)], 41, (F(1, 3), F(1, 2))),
-    "two-var": lambda: verify_two_variable_identity(2, 1.0, 0.5, 5, tolerance=0.1),
-    "diagonal": lambda: verify_diagonal_identity(2, 3, 1.0, 0.5, 5, tolerance=0.1),
+    # default cutoff 2495: a tail of 2486 terms after a staircase of 9
+    "two-var": lambda: verify_two_variable_identity(2, 1.0, 0.5, 5),
+    "diagonal": lambda: verify_diagonal_identity(2, 3, 1.0, 0.5, 5),
 }
 
 
@@ -99,7 +100,7 @@ def test_exact_estimate_memory_is_bounded():
 def test_identity_memory_is_bounded():
     verify_two_variable_identity(2, 0.5, 0.5, 10)  # imports and caches
     # about 10^6 polygamma terms
-    value, peak = traced_peak(verify_two_variable_identity, 2, 0.5, 0.5, 100, None, 1e-5)
+    value, peak = traced_peak(verify_two_variable_identity, 2, 0.5, 0.5, 100, 10 ** 6 - 201)
     assert abs(value - 0.5) < 1e-2
     assert peak < 2 * MiB
 

@@ -37,7 +37,6 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     lambda: evaluate([make_piece([(0, 0), (1, 0), (0, 1)], [])], [F(1)]),
     lambda: estimate(make_ideal(3, [(1, 1, 0), (0, 0, 1)]), EstimatorConfig(10, (1, 1))),
     lambda: convergence_report(make_ideal(2, [(1, 1)]), (1,), [10, 20]),
-    lambda: verify_two_variable_identity(2, 0.5, 0.5, 10, tolerance=0.0),
     lambda: solve_lp([(1, 0), (0, 1)], (1, F(-1, 2))),
     lambda: solve_lp([(0, 0), (1, 1)]),
     lambda: polygamma(1, math.nan),
@@ -140,10 +139,17 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     lambda: solve_lp([(-1, -1)]),
     lambda: solve_lp([(1, -1)]),
     lambda: feasible([(-1, -1)], (1, 1)),
+    # X is read before its length is taken
+    lambda: convergence_report(_IDEAL, 3, [10]),
+    lambda: kernel_term((1, 2), 3, 5),
+    # the tail tolerance is a positive real
+    lambda: EstimatorConfig(m=5, X=(1, 1), tail_tolerance="a"),
+    lambda: EstimatorConfig(m=5, X=(1, 1), tail_tolerance=math.nan),
+    lambda: EstimatorConfig(m=5, X=(1, 1), tail_tolerance=-1.0),
 ], ids=["bernoulli", "polygamma-order", "det-non-square", "make_piece-shape",
         "piece_membership-singular", "series-nvars", "series-bound",
         "series-exponent-arity", "series-mismatch", "piece-point-arity",
-        "estimate-X-length", "convergence-X-length", "identity-tolerance",
+        "estimate-X-length", "convergence-X-length",
         "solve_lp-negative-target", "solve_lp-zero-point", "polygamma-nan",
         "polygamma-float-order", "two-var-infinite-X2", "diagonal-infinite-X2",
         "contains-nan", "contains-inf", "region-nan", "region-inf",
@@ -175,7 +181,8 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "series-negative-exponent", "series-float-exponent", "series-string-exponent",
         "series-int-key", "monomial-negative-exponent", "linear-form-too-long",
         "linear-form-too-short", "solve_lp-negative-point", "solve_lp-mixed-sign-point",
-        "feasible-negative-point"])
+        "feasible-negative-point", "convergence-scalar-X", "kernel-scalar-X",
+        "config-string-tolerance", "config-nan-tolerance", "config-negative-tolerance"])
 def test_caller_input_errors_are_typed(call):
     """Bad caller input raises InvalidInput, which is still a ValueError."""
     with pytest.raises(InvalidInput):

@@ -161,11 +161,11 @@ def test_two_variable_identity_example():
 
 
 def test_two_variable_identity_monotone_approach():
-    # tight tail rule so truncation noise does not mask the O(1/m) trend
+    # a long cutoff (a rest near 1e-6) so truncation noise does not mask the
+    # O(1/m) trend
     target = 0.5
-    errors = [abs(verify_two_variable_identity(2, 0.5, 0.5, m, tolerance=1e-5)
-                  - target)
-              for m in (250, 500, 1000, 2000)]
+    errors = [abs(verify_two_variable_identity(2, 0.5, 0.5, m, tail_cutoff=10 ** 6 - 2 * m - 1)
+                  - target) for m in (250, 500, 1000, 2000)]
     assert errors == sorted(errors, reverse=True)
 
 
@@ -205,6 +205,46 @@ def test_diagonal_identity_tracks_exact_class():
     assert errors == sorted(errors, reverse=True)
 
 
+def _psi2_tail_sum(y):
+    """sum_{j >= 0} psi_2(y + j) = -2 (zeta(2, y) - (y - 1) zeta(3, y)), from
+    psi_2 = -2 zeta(3, .) (DLMF 25.11.12)."""
+    return -2 * (mpmath.zeta(2, y) - (y - 1) * mpmath.zeta(3, y))
+
+
+def _staircase(ell1, ell2, X, m):
+    return mpmath.fsum(mpmath.psi(2, m * ell2 - (a1 * ell2) // ell1 + m / X + a1)
+                       for a1 in range(1, m * ell1))
+
+
+@pytest.mark.parametrize("ell, X, m", [(2, 0.5, 2000), (1, 1.0, 500),
+                                       (3, 0.25, 100), (2, 0.5, 250)])
+def test_two_variable_identity_matches_closed_form(ell, X, m):
+    """At X1 = X2 = X the untruncated finite-m value is
+    1 + (m/X) T(m/X + m*l + 1) with T the psi_2 tail sum; the default cutoff
+    stays within 2e-5 of it (errors 3.5e-6 to 1.0e-5 here)."""
+    with mpmath.workdps(30):
+        scale = m / mpmath.mpf(X)
+        exact = 1 + scale * _psi2_tail_sum(scale + m * ell + 1)
+        value = verify_two_variable_identity(ell, X, X, m)
+        assert abs(float((value - exact) / exact)) < 2e-5
+
+
+@pytest.mark.parametrize("ell1, ell2, X, m", [(2, 3, 0.5, 200), (1, 1, 1.0, 300)])
+def test_diagonal_identity_matches_closed_form(ell1, ell2, X, m):
+    """The diagonal value adds the staircase to the same tail: within 2e-5
+    of the closed form (errors 1.2e-5 and 1.33e-5 here), and minus the
+    two-variable value at l = l1 it is the scaled staircase to 1e-12."""
+    with mpmath.workdps(30):
+        scale = m / mpmath.mpf(X)
+        staircase = _staircase(ell1, ell2, mpmath.mpf(X), m)
+        exact = 1 + scale * (staircase + _psi2_tail_sum(scale + m * ell1 + 1))
+        value = verify_diagonal_identity(ell1, ell2, X, X, m)
+        assert abs(float((value - exact) / exact)) < 2e-5
+        difference = value - verify_two_variable_identity(ell1, X, X, m)
+        scaled = scale * staircase
+        assert abs(float((difference - scaled) / scaled)) < 1e-12
+
+
 def test_identity_arguments_past_float_range_are_quiet():
     """m + a1*X1 past float64 is inf, where psi_2 is 0: the sums stay
     finite and numpy's overflow warning does not reach stderr."""
@@ -218,8 +258,7 @@ def test_identity_cutoff_errors():
     with pytest.raises(CutoffTooSmall):
         verify_two_variable_identity(2, 0.5, 0.5, 100, tail_cutoff=50)
     with pytest.raises(CutoffTooSmall):
-        verify_two_variable_identity(2, 0.5, 0.5, 100, tail_cutoff=201,
-                                     tolerance=1e-9)
+        verify_two_variable_identity(2, 0.5, 0.5, 100, tail_cutoff=201)
     with pytest.raises(CutoffTooSmall):
         verify_diagonal_identity(2, 3, 1 / 3, 1 / 2, 100, tail_cutoff=150)
 
