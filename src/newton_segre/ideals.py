@@ -187,12 +187,13 @@ def parse_ideal(source: str | dict, n: int | None = None) -> MonomialIdeal:
 def _ideal_from_json(payload: dict, n: int | None) -> MonomialIdeal:
     if "generators" not in payload:
         raise ParseError("JSON ideal needs a 'generators' key", 0)
-    width = payload.get("n", n if n is not None else 0)
-    (width,) = _integers((width,), "JSON 'n'")
+    width = n
+    if "n" in payload:  # read whatever it holds; make_ideal refuses a bad width
+        (width,) = _integers((payload["n"],), "JSON 'n'")
     gens = payload["generators"]
     if not isinstance(gens, list):
         raise InvalidInput(f"JSON 'generators' must be a list, got {gens!r}")
-    if width <= 0:
+    if width is None:
         if not gens or not gens[0]:
             raise ParseError("cannot infer n from empty generators", 0)
         if not isinstance(gens[0], list):

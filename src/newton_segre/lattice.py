@@ -47,7 +47,8 @@ Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
 (EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
 integer denominators would leave int64; both it and the float path read
-the polyhedron's int facets and refuse when c*m + w.a over the box would.
+the polyhedron's int facets and refuse when c*m + w.a over the box, or a
+box coordinate plus one, would.
 Below that it enumerates the box in blocks of about 2^13 points split along
 its longest axis, so its memory grows only with the number of distinct
 denominators. Like kernel_term, the lct_based mode sums exactly from the
@@ -80,7 +81,7 @@ from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
 from .ideals import MonomialIdeal, _integers, _rationals
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
-from .polyhedron import Facet, NewtonPolyhedron, in_newton_region, newton_polyhedron
+from .polyhedron import Facet, NewtonPolyhedron, newton_polyhedron
 from .segre import _exact_point, evaluate
 
 MEMBERSHIP = "membership_based"
@@ -145,7 +146,6 @@ class ModeAgreement:
     lct_evaluations: int
     interior_mismatches: int
     edge_mismatches: int
-    spot_checks: int
 
 
 def kernel_term(a: Sequence[int], m: int, X: Sequence):
@@ -185,14 +185,15 @@ def _axis_limits(poly: NewtonPolyhedron, m: int,
 
 def _int_facets(poly: NewtonPolyhedron, m: int, limits: Sequence[int]) -> tuple[Facet, ...]:
     """The diagram facets (member iff some w.a <= c*m), once every w.a and c*m
-    over the box 1 <= a <= limits, at most c*m + sum_j w_j*limit_j, is known
-    to fit in int64; EstimateTooLarge otherwise."""
+    over the box 1 <= a <= limits, at most c*m + sum_j w_j*limit_j, and every
+    box coordinate up to max(limits) + 1 are known to fit in int64;
+    EstimateTooLarge otherwise."""
     facets = poly.diagram_facets
-    largest = max(f.offset * m + sum(w * limit for w, limit in zip(f.normal, limits))
-                  for f in facets)
+    largest = max(max(limits) + 1, *(
+        f.offset * m + sum(w * limit for w, limit in zip(f.normal, limits)) for f in facets))
     if largest > _INT64_MAX:
         raise EstimateTooLarge(
-            f"facet arithmetic reaches {largest}, beyond the int64 limit "
+            f"lattice arithmetic reaches {largest}, beyond the int64 limit "
             f"{_INT64_MAX}; lower m or ray_cutoff")
     return facets
 
@@ -442,36 +443,31 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 # membership-mode vs lct-mode agreement
 # ---------------------------------------------------------------------------
 
-def mode_agreement_report(ideal: MonomialIdeal, m: int,
-                          scan_cutoff: int | None = None) -> ModeAgreement:
+def mode_agreement_report(ideal: MonomialIdeal, m: int) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
-    Both sets are down-closed, so each column along axis 0 (the other
-    coordinates fixed) meets them in intervals [1, T]. Per column the
-    membership top t from the facet inequalities is the lct top exactly when
-    the threshold-side test holds at a1 = t and fails at t + 1; only when it
-    does not is the lct top bisected for. Mismatched points are classified
-    as interior (all a_i > 1) or edge (some a_i = 1). Additionally
-    spot-checks 50 random points (seed 0) through both literal pipelines.
+    The box is the estimator's at ray cutoff 4*m. Both sets are down-closed,
+    so each column along axis 0 (the other coordinates fixed) meets them in
+    intervals [1, T]. Per column the membership top t from the facet
+    inequalities is the lct top exactly when the threshold-side test holds
+    at a1 = t and fails at t + 1; only when it does not is the lct top
+    bisected for. Each mismatched point is counted once, as interior (all
+    a_i > 1) or edge (some a_i = 1); lct_evaluations counts the tests.
     """
     import numpy as np
-    import random
 
-    m, cutoff = _integers((m, 4 * m if scan_cutoff is None else scan_cutoff),
-                          "m and scan_cutoff")
-    if m < 1 or cutoff < 1:
-        raise InvalidInput(f"m and scan_cutoff must be positive, got {m} and {cutoff}")
+    (m,) = _integers((m,), "m")
+    if m < 1:
+        raise InvalidInput(f"m must be a positive integer, got {m}")
     poly = newton_polyhedron(ideal)
-    _, limits = _axis_limits(poly, m, cutoff)
+    _, limits = _axis_limits(poly, m, 4 * m)
     scanned = math.prod(limits[1:])
     if scanned > MAX_LCT_POINTS:
         raise EstimateTooLarge(
             f"mode agreement would scan {scanned} lattice columns, above the limit "
-            f"of {MAX_LCT_POINTS}; lower m or scan_cutoff")
+            f"of {MAX_LCT_POINTS}; lower m")
     facets = _int_facets(poly, m, limits)
-    counter = [0]
-    interior = 0
-    edge = 0
+    counter, interior, edge = [0], 0, 0
 
     b1 = limits[0]
     columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
@@ -504,21 +500,7 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int,
                     edge += 1
                 else:
                     interior += 1
-    covered = math.prod(limits)
-
-    rng = random.Random(0)
-    checked = 50 if all(limit >= 1 for limit in limits) else 0
-    for _ in range(checked):
-        a = tuple(rng.randint(1, limit) for limit in limits)
-        counter[0] += 1
-        member = in_newton_region(poly, tuple(Fraction(ai, m) for ai in a))
-        if member != region_condition_via_lct(ideal, a, m):
-            if any(ai == 1 for ai in a):
-                edge += 1
-            else:
-                interior += 1
 
     return ModeAgreement(
-        m=m, points_covered=covered, lct_evaluations=counter[0],
-        interior_mismatches=interior, edge_mismatches=edge,
-        spot_checks=checked)
+        m=m, points_covered=math.prod(limits), lct_evaluations=counter[0],
+        interior_mismatches=interior, edge_mismatches=edge)

@@ -69,11 +69,14 @@ def bernoulli(K: int) -> tuple[Fraction, ...]:
     The T_k come from an integer-only recurrence (Brent and Harvey, "Fast
     computation of Bernoulli, tangent and secant numbers", 2011), and
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). K is read by
-    ideals._integers.
+    ideals._integers; the recurrence takes about K^3 steps on ever larger
+    integers, so K above _MAX_BERNOULLI raises EstimateTooLarge.
     """
     (K,) = _integers((K,), "K")
     if K < 1:
         raise InvalidInput("need at least one Bernoulli number")
+    if K > _MAX_BERNOULLI:
+        raise EstimateTooLarge(f"asked for {K} Bernoulli numbers, above {_MAX_BERNOULLI}")
     tangent = [0, 1] + [0] * (K - 1)
     for k in range(2, K + 1):
         tangent[k] = (k - 1) * tangent[k - 1]

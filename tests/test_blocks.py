@@ -105,6 +105,21 @@ def test_identity_memory_is_bounded():
     assert peak < 2 * MiB
 
 
+def test_bernoulli_refuses_past_its_table_before_allocating():
+    """The tangent recurrence takes about K^3 steps on growing integers; the
+    package reads at most _MAX_BERNOULLI numbers, and no more are made."""
+    assert len(pg.bernoulli(pg._MAX_BERNOULLI)) == pg._MAX_BERNOULLI
+    with pytest.raises(EstimateTooLarge, match=str(pg._MAX_BERNOULLI + 1)):
+        pg.bernoulli(pg._MAX_BERNOULLI + 1)
+
+    def refused():
+        with pytest.raises(EstimateTooLarge, match="10000000 Bernoulli numbers"):
+            pg.bernoulli(10 ** 7)
+
+    _, peak = traced_peak(refused)
+    assert peak < MiB
+
+
 def test_oversized_identity_refuses_before_allocating():
     verify_two_variable_identity(2, 0.5, 0.5, 10)
 

@@ -174,22 +174,24 @@ def test_console_entry_point():
     assert json.loads(proc.stdout) == {"lct": "1", "sigma": "1"}
 
 
-def test_exact_geometry_commands_do_not_load_numpy():
+def test_exact_geometry_commands_do_not_load_numpy(capsys):
     """lct, segre and diagram stay off numpy, whose import costs about
     14 MiB and tens of milliseconds per process; only the lattice and
-    polygamma code may load it."""
+    polygamma code may load it. Each exits 0 with the output of a run in
+    this process."""
+    commands = [["lct", "x1^2,x2^3"], ["segre", "x1^2,x1*x2,x2^3", "--ambient", "2"],
+                ["diagram", "x1^2,x1*x2"]]
     script = (
-        "import contextlib, io, sys\n"
+        "import json, sys\n"
         "from newton_segre.cli import main\n"
-        "for argv in (['lct', 'x1^2,x2^3'], ['segre', 'x1^2,x1*x2,x2^3', '--ambient', '2'],\n"
-        "             ['diagram', 'x1^2,x1*x2']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
         "print('numpy' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=subprocess_env())
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    expected = "".join(run_cli(argv, capsys)[1] for argv in commands)
+    assert proc.stdout == expected + "False\n"
 
 
 def test_estimate_requires_m(capsys):
@@ -303,6 +305,15 @@ def test_estimate_requires_m(capsys):
       "--m-list", "5"], "InvalidInput"),
     (["verify", "--identity", "power", "--params", "l=2,X=1/2", "--m-list", "5",
       "--cutoff", "100"], "InvalidInput"),
+    # box coordinates past int64 on an axis no facet sees: an OverflowError,
+    # and a column top + 1 that wrapped to a negative int64
+    (["estimate", "x1", "--n", "2", "--m", "3", "--X", "1,1",
+      "--cutoff", "100000000000000000000"], "EstimateTooLarge"),
+    (["estimate", "x1", "--n", "2", "--m", "3", "--X", "1,1",
+      "--cutoff", "9223372036854775807"], "EstimateTooLarge"),
+    # a JSON "n" is read as given, never inferred over
+    (["lct", '{"n": -1, "generators": [[1]]}'], "DimensionMismatch"),
+    (["lct", '{"n": 0, "generators": [[1]]}'], "DimensionMismatch"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args
@@ -325,6 +336,15 @@ def test_lct_mode_needs_no_int64_facets(capsys):
     expected = sum(kernel_term((a1, a2), 3, (1, 1))
                    for a1 in range(1, 6) for a2 in range(1, 11))
     assert Fraction(json.loads(out)["estimate_rational"]) == expected
+
+
+def test_float_estimate_cutoff_at_the_int64_edge(capsys):
+    """The largest cutoff whose box coordinates and column tops + 1 fit in
+    int64 is still summed."""
+    code, out, err = run_cli(["estimate", "x1", "--n", "2", "--m", "3", "--X", "1,1",
+                              "--cutoff", str(2 ** 63 - 2)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["estimate"] == "0.31532981242825275"
 
 
 def test_help_still_prints_usage(capsys):

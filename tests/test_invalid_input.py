@@ -61,7 +61,6 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     lambda: kernel_term((1, 2), 2.5, (1, 1)),
     lambda: convergence_report(_IDEAL, (1, 1), [2.5]),
     lambda: mode_agreement_report(_IDEAL, 2.5),
-    lambda: mode_agreement_report(_IDEAL, 2, scan_cutoff=8.0),
     lambda: region_condition_via_lct(_IDEAL, (2, 3), 2.5),
     lambda: lct_condition(_IDEAL, (2, 3), F(5, 2)),
     lambda: segre_class(_IDEAL, 2.5),
@@ -118,12 +117,10 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     # vertex_order entries are integer points
     lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), 5]),
     lambda: cone_decomposition(_POLY, [(2, 0), (1, 1), (0, 3), "ab"]),
-    # vertex_order itself is an iterable; m and the scan cutoff are positive
+    # vertex_order itself is an iterable; m is positive
     lambda: cone_decomposition(_POLY, 5),
     lambda: mode_agreement_report(_IDEAL, 0),
     lambda: mode_agreement_report(_IDEAL, -1),
-    lambda: mode_agreement_report(_IDEAL, 2, scan_cutoff=-5),
-    lambda: mode_agreement_report(_IDEAL, 2, scan_cutoff=0),
     # the estimator's X is a point, not a number
     lambda: EstimatorConfig(m=5, X=3),
     # series exponents are tuples of nvars non-negative integers, and a
@@ -158,7 +155,7 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "power-float-ell", "two-var-fraction-ell", "two-var-float-cutoff",
         "diagonal-float-ell2", "config-bool-m", "config-float-cutoff",
         "kernel-float-m", "convergence-float-m", "agreement-float-m",
-        "agreement-float-cutoff", "region-lct-float-m", "lct-condition-fraction-m",
+        "region-lct-float-m", "lct-condition-fraction-m",
         "segre-float-ambient", "make_piece-axis-out-of-range",
         "make_piece-axis-negative", "make_piece-axis-float", "make_piece-axis-bool",
         "make_piece-axis-repeated", "make_piece-unequal-vertices",
@@ -177,7 +174,7 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "polygamma-huge-int", "polygamma-extended-string", "sum-cubes-float-lo",
         "sum-cubes-string-y", "vertex-order-int-entry", "vertex-order-string-entry",
         "vertex-order-int", "agreement-zero-m", "agreement-negative-m",
-        "agreement-negative-cutoff", "agreement-zero-cutoff", "config-scalar-X",
+        "config-scalar-X",
         "series-negative-exponent", "series-float-exponent", "series-string-exponent",
         "series-int-key", "monomial-negative-exponent", "linear-form-too-long",
         "linear-form-too-short", "solve_lp-negative-point", "solve_lp-mixed-sign-point",

@@ -295,10 +295,24 @@ def test_mode_agreement_two_vars():
     assert report.lct_evaluations > 0
 
 
+def test_mode_agreement_counts_each_mismatch_once(monkeypatch):
+    """With an lct side that admits no point, the mismatches are exactly the
+    box points in the Newton region, each counted once."""
+    ideal, m = make_ideal(2, [(2, 0), (0, 3)]), 6
+    monkeypatch.setattr(lattice, "region_condition_via_lct", lambda *args: False)
+    report = mode_agreement_report(ideal, m)
+    assert report.points_covered == 12 * 18
+    poly = newton_polyhedron(ideal)
+    members = sum(in_newton_region(poly, (F(a1, m), F(a2, m)))
+                  for a1 in range(1, 13) for a2 in range(1, 19))
+    assert members == 96
+    assert report.interior_mismatches + report.edge_mismatches == members
+
+
 def test_mode_agreement_other_dims():
     report = mode_agreement_report(make_ideal(1, [(3,)]), m=40)
     assert report.interior_mismatches == 0
-    report = mode_agreement_report(make_ideal(3, [(1, 1, 1)]), m=4, scan_cutoff=10)
+    report = mode_agreement_report(make_ideal(3, [(1, 1, 1)]), m=4)
     assert report.interior_mismatches == 0
     assert report.edge_mismatches == 0
     # one bracketed threshold search per column, not one lct per point
