@@ -34,14 +34,21 @@ a bounded region, and a factor of the cutoff more for every tail axis
 beyond the first in a cell. Axes with r_i = 0 are in every S and bounded
 ones (r_i = L_i) in none, so only the rest are walked; more than MAX_COLUMNS
 cells, or columns counted past it, raise EstimateTooLarge with the count
-before anything is allocated. A cell's columns are then summed in
-blocks: its outer grid is split along its longest axis into runs of whole
-rows of about 2^13 columns (the polygamma module's private block size), or
-one row where a row is wider. Under the MAX_COLUMNS cap a row holds at most
-2^11 columns in 3-D and about 26,000 in 4-D, so memory is bounded whatever
-m and the cutoff are, and MAX_COLUMNS bounds the time instead (2^22 columns
-take about 0.2 s on a 2-vCPU Xeon). The result is the same truncated sum
-that exact mode enumerates, up to float rounding.
+before anything is allocated; the count is of the whole cell, before the
+cuts below. A cell's columns are then walked along the longest axis s of
+its outer grid (axis k pinned), cut to the region at a_k = lo: axis s ends
+at the last a_s whose corner (every other axis at its start) is a member,
+so the walk stops at the first empty row, and each block of rows spans on
+every other axis only the extent its first row's corner reaches. The
+region is down-closed, so no member falls outside these cuts. A
+block holds the rows that fit in about 2^13 columns (the polygamma
+module's private block size), or one row where a row is wider, and both
+ends of its nonempty columns go to one polygamma call. Under the
+MAX_COLUMNS cap a row holds at most 2^11 columns in 3-D and about 26,000
+in 4-D, so memory is bounded whatever m and the cutoff are, and MAX_COLUMNS
+bounds the time instead (2^22 columns take about 0.15 s on a 2-vCPU Xeon
+when every one is a member, as in a 2-D box). The result is the same
+truncated sum that exact mode enumerates, up to float rounding.
 
 Exact mode and the lct_based mode enumerate the box literally: they are the
 oracles the column sums are tested against. Exact mode refuses up front
@@ -321,27 +328,38 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
                 f"limit of {MAX_COLUMNS}; lower m or ray_cutoff")
 
     parts = []
+    sign = (-1) ** (n + 1)  # in every part, so an empty sum is +0.0
     for blind, ranges, k in cells:
         lo, hi = ranges[k]
-        # the outer grid (axis k pinned to 0) as sparse axes, split along its
-        # longest axis into blocks of about _CHUNK columns each
+        # the outer grid (axis k pinned to 0) as sparse axes, walked along its
+        # longest axis s and cut to the region at a_k = lo (module docstring)
         grid = [(0, 0) if j == k else r for j, r in enumerate(ranges)]
         lengths = [stop - start + 1 for start, stop in grid]
         s = lengths.index(max(lengths))
-        width = math.prod(lengths) // lengths[s]
-        for first, last in _blocks(grid[s][0], grid[s][1] + 1, width):
+        corner = [lo if j == k else start for j, (start, _) in enumerate(grid)]
+        end = int(_column_tops(blind, m, s, corner, *grid[s]))
+        first = grid[s][0]
+        while first <= end:
+            corner[s] = first
+            cut = [(start, stop) if j in (k, s) else
+                   (start, int(_column_tops(blind, m, j, corner, start, stop)))
+                   for j, (start, stop) in enumerate(grid)]
+            width = math.prod(stop - start + 1 for j, (start, stop) in enumerate(cut) if j != s)
+            last = next(_blocks(first, end + 1, width))[1]  # rows of about _CHUNK columns
             outer = np.meshgrid(*(np.arange(first, last, dtype=np.int64) if j == s else
                                   np.arange(start, stop + 1, dtype=np.int64)
-                                  for j, (start, stop) in enumerate(grid)),
+                                  for j, (start, stop) in enumerate(cut)),
                                 indexing="ij", sparse=True)
             y = (m + sum(a * x for a, x in zip(outer, xs))) / xs[k]
             tops = np.broadcast_to(_column_tops(blind, m, k, outer, lo, hi), y.shape)
             keep = tops >= lo
             y = y[keep]
-            if y.size:
-                diff = polygamma(n, lo + y) - polygamma(n, tops[keep] + 1 + y)
-                parts.append(float(np.sum(diff)) / xs[k] ** (n + 1))
-    return (-1) ** (n + 1) * m * math.prod(xs) * math.fsum(parts)
+            # the two ends of every column in one kernel call
+            ends = polygamma(n, np.concatenate((lo + y, tops[keep] + 1 + y)))
+            diff = ends[:y.size] - ends[y.size:]
+            parts.append(sign * float(np.sum(diff)) / xs[k] ** (n + 1))
+            first = last
+    return m * math.prod(xs) * math.fsum(parts)
 
 
 def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,

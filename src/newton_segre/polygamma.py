@@ -15,20 +15,25 @@ with a fixed number of terms per order: term k = K(r) is the first whose
 size at x = SHIFT_THRESHOLD is below 2^-60 of the leading term, and it and
 all later terms are dropped (K = 7..11 for r = 1..8). Because K depends on
 r only, every element of an array argument is computed exactly as a scalar
-call would compute it. The sum over k is a Horner polynomial in x^-2, and
-the leading term is added last. The accuracy floor at an element is the
-size of its first omitted term, at most 3.6e-20 for every order 1..38 at
-x = SHIFT_THRESHOLD, so the result is good to float64 rounding. Every order
-above 38 raises PrecisionUnreachable, since no term within _MAX_BERNOULLI
-is small enough.
+call would compute it. Only the elements below the threshold are shifted,
+in arrays of their own, so an array wholly above it (as the lattice sums
+mostly pass) skips the shift. Then, with inv = 1/x, the sum over k is a
+Horner polynomial in inv^2, x^-r is inv multiplied by itself r - 1 times
+(no pow), and the leading term is added last. The accuracy floor at an
+element is the size of its first omitted term, at most 3.6e-20 for every
+order 1..38 at x = SHIFT_THRESHOLD, so the result is good to float64
+rounding. Every order above 38 raises PrecisionUnreachable, since no term
+within _MAX_BERNOULLI is small enough.
 Bernoulli numbers come exactly from the integer tangent numbers.
 
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
 l1 l2 X1 X2 / ((1 + l1 X1)(1 + l2 X2)); callers compare the returned values
 against those targets. The two-variable and diagonal checks end in one
-tail sum, cut at tail_cutoff (by default the smallest cutoff whose estimated
-rest is below a fixed 1e-4). They count their psi_2 terms before allocating
+tail sum, cut at tail_cutoff (by default the smallest cutoff whose
+leading-order rest is below a fixed 1e-4), plus the rest past the cutoff
+to two orders (see _tail), which leaves a relative error of about 1e-9 at
+the default cutoff. They count their psi_2 terms before allocating
 anything and refuse more than MAX_COLUMNS (2^22) of them with
 EstimateTooLarge stating the count; below that they sum the terms in blocks
 of _CHUNK, so their memory does not grow with m or the cutoff.
@@ -54,12 +59,12 @@ _MAX_BERNOULLI = 60
 # Largest number of lattice columns (polygamma terms) one lattice estimate or
 # identity check may sum; each refuses above it before allocating anything.
 # They sum their columns in blocks of about _CHUNK, so memory stays bounded
-# and this cap bounds time instead: 2^22 columns take about 0.2 s on a
-# 2-vCPU Xeon. Segre series have their own, smaller budget.
+# and this cap bounds time instead: 2^22 nonempty columns take about 0.15 s
+# on a 2-vCPU Xeon. Segre series have their own, smaller budget.
 MAX_COLUMNS = 1 << 22
 _INT64_MAX = 2 ** 63 - 1
 _CHUNK = 1 << 13
-# Largest estimated rest that the identity checks leave past their cutoff.
+# Largest leading-order rest that the identity checks leave past their cutoff.
 _REST_TARGET = 1e-4
 
 
@@ -150,27 +155,33 @@ def polygamma(r: int, x):
     if np.any(shifted <= 0):
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
 
-    correction = np.zeros_like(shifted)
-    comp = np.zeros_like(shifted)  # Kahan carry for the shift sum
     rsign = (-1.0) ** (r + 1)  # psi_r(x) - psi_r(x+1) = (-1)^(r+1) r! / x^(r+1)
     rfact = float(math.factorial(r))
-    while True:
-        low = shifted < SHIFT_THRESHOLD
-        if not np.any(low):
-            break
-        term = rsign * rfact / shifted[low] ** (r + 1)
-        y = term - comp[low]
-        t = correction[low] + y
-        comp[low] = (t - correction[low]) - y
-        correction[low] = t
-        shifted[low] += 1.0
+    # the shift, on the elements below the threshold alone
+    low = np.flatnonzero(shifted < SHIFT_THRESHOLD)
+    if low.size:
+        part = shifted[low]
+        correction = np.zeros_like(part)
+        comp = np.zeros_like(part)  # Kahan carry for the shift sum
+        while True:
+            below = part < SHIFT_THRESHOLD
+            if not np.any(below):
+                break
+            term = rsign * rfact / part[below] ** (r + 1)
+            y = term - comp[below]
+            t = correction[below] + y
+            comp[below] = (t - correction[below]) - y
+            correction[below] = t
+            part[below] += 1.0
+        shifted[low] = part
 
     coeffs = _horner_coefficients(r)
     # In place, in the operation order of
     #   rsign * (power * inv) * (rfact/2 + inv * horner)
-    #     + rsign * (r-1)! * power + correction,
-    # with power = x^-r; IEEE products and sums commute, so every element
-    # is bitwise the value that expression gives.
+    #     + rsign * (r-1)! * power (+ correction, for a shifted element),
+    # with power = inv * inv * ... * inv (r factors, left to right); IEEE
+    # products and sums commute, so every element is bitwise the value that
+    # expression gives.
     inv = 1.0 / shifted
     inv2 = inv * inv
     horner = np.zeros_like(inv)
@@ -180,13 +191,16 @@ def polygamma(r: int, x):
     horner *= inv
     horner += rfact / 2.0
     power = shifted
-    power **= -r
+    power[...] = inv
+    for _ in range(r - 1):
+        power *= inv
     inv *= power
     inv *= rsign
     inv *= horner
     power *= rsign * float(math.factorial(r - 1))
     inv += power
-    inv += correction
+    if low.size:
+        inv[low] += correction
     return float(inv[0]) if scalar else inv
 
 
@@ -257,12 +271,17 @@ def _tail(name: str, first: int, start: int, m: int, X1, X2,
     of sum_{a1 >= start} psi_2((m + a1 X1 + X2) / X2), the tail both
     two-variable identities end in, for a check summing a1 = first..cutoff.
 
-    X1 and X2 are read by _floats, tail_cutoff by _integers. The default
-    cutoff is the smallest whose rest, estimated from psi_2(y) ~ -y^-2 by an
-    integral comparison, is below _REST_TARGET, plus headroom. The terms are
-    counted before the cutoff is cast to int (the rule's cutoff is a float,
-    infinite when X1 is tiny); more than MAX_COLUMNS raise EstimateTooLarge,
-    a cutoff below start or a rest above _REST_TARGET CutoffTooSmall.
+    The rest is the sum past the cutoff, whose first argument is
+    u = (m + X2 + (cutoff + 1) X1) / X2, to two orders: the integral of
+    psi_2(y) ~ -y^-2 - y^-3 from u, times the step X2/X1, plus the
+    Euler-Maclaurin end term psi_2(u)/2 ~ -1/(2u^2), together
+    -(X2/X1)(1/u + 1/(2u^2)) - 1/(2u^2); the error is O(u^-3) times
+    X2/X1. X1 and X2 are read by _floats, tail_cutoff by _integers. The
+    default cutoff is the smallest whose leading-order rest -(X2/X1)/u is
+    below _REST_TARGET, plus headroom. The terms are counted before the
+    cutoff is cast to int (the rule's cutoff is a float, infinite when X1
+    is tiny); more than MAX_COLUMNS raise EstimateTooLarge, a cutoff below
+    start or a leading-order rest above _REST_TARGET CutoffTooSmall.
     """
     X1, X2 = _floats((X1, X2), f"{name} identity X1 and X2")
     if X1 <= 0 or X2 <= 0:
@@ -291,12 +310,15 @@ def _tail(name: str, first: int, start: int, m: int, X1, X2,
     tail_cutoff = int(tail_cutoff)
     if tail_cutoff < start:
         raise CutoffTooSmall(f"tail_cutoff {tail_cutoff} below the first index {start}")
-    rest = -(X2 * X2 / X1) / (shift + (tail_cutoff + 1) * X1)
-    if abs(rest) > _REST_TARGET:
+    lead = -(X2 * X2 / X1) / (shift + (tail_cutoff + 1) * X1)
+    if abs(lead) > _REST_TARGET:
         raise CutoffTooSmall(
-            f"estimated tail {abs(rest):.3e} exceeds {_REST_TARGET:.3e} "
+            f"estimated tail {abs(lead):.3e} exceeds {_REST_TARGET:.3e} "
             f"at cutoff {tail_cutoff}")
-    return X1, X2, scale, tail_cutoff, rest
+    # u is the first omitted argument; lead = -(X2/X1)/u, written so that
+    # X2/X1 alone cannot overflow
+    u = (shift + (tail_cutoff + 1) * X1) / X2
+    return X1, X2, scale, tail_cutoff, lead * (1 + 0.5 / u) - 0.5 / (u * u)
 
 
 def _blocks(start: int, stop: int, width: int = 1):
@@ -323,8 +345,8 @@ def verify_two_variable_identity(ell: int, X1: float, X2: float, m: int,
     """Finite-m value of the two-variable lattice identity for (x1^ell).
 
     Evaluates 1 - (-m X1 / X2^2) * sum_{a1 >= m*ell} psi_2((m + a1 X1 + X2)/X2)
-    with the sum truncated at tail_cutoff and the rest estimated from
-    psi_2(y) ~ -y^-2 (see _tail). Approaches ell*X1 / (1 + ell*X1) as m grows.
+    with the sum truncated at tail_cutoff and the rest past it estimated to
+    two orders (see _tail). Approaches ell*X1 / (1 + ell*X1) as m grows.
     """
     ell, m = _integers((ell, m), "ell and m")
     if ell < 1 or m < 1:

@@ -82,6 +82,16 @@ def test_estimate_m_prints_the_m_list_row(mode, arith, capsys):
         assert payload["estimate"] == format(value, ".17g")
 
 
+def test_empty_estimate_is_zero_in_every_mode(capsys):
+    """At m = 1 no lattice point a >= 1 of (x1, x2) lies in the region, so
+    the sum is empty: every mode prints 0, the float one with no sign."""
+    for flags in ([], ["--arith", "exact"], ["--mode", "lct"]):
+        code, out, err = run_cli(["estimate", "x1,x2", "--m", "1", "--X", "1,1"] + flags,
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["estimate"] == "0"
+
+
 def test_estimate_exact_arithmetic(capsys):
     code, out, _ = run_cli(
         ["estimate", "x1^2,x2^3", "--m", "30", "--X", "1/3,1/2",

@@ -15,6 +15,7 @@ from newton_segre.lattice import LCT_BASED, MEMBERSHIP, _column_tops, _int_facet
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
 
 lattice = importlib.import_module("newton_segre.lattice")
+pg = importlib.import_module("newton_segre.polygamma")
 
 
 def exact_value(ideal, X):
@@ -361,6 +362,51 @@ def test_column_sums_match_exact_mode(case):
         m=m, X=X, ray_cutoff=cutoff, arithmetic="exact_rational"))
     approx = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
     assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
+
+
+@st.composite
+def _3d_estimates(draw):
+    """A 3-D ideal with pure powers on every axis but at most one, which is
+    left unbounded, mixed generators, m <= 12 and X in (0, 5]."""
+    free = draw(st.sampled_from((None, 0, 1, 2)))
+    gens = [tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(3))
+            for i in range(3) if i != free]
+    mixed = _EXPONENT_VECTORS[3].filter(lambda e: sum(map(bool, e)) > 1)
+    gens += draw(st.lists(mixed, max_size=3))
+    m = draw(st.integers(1, 12))
+    cutoff = draw(st.integers(m, 3 * m)) if free is not None else None
+    X = tuple(F(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in range(3))
+    return make_ideal(3, gens), m, cutoff, X
+
+
+@settings(max_examples=40, deadline=None)
+@given(_3d_estimates())
+def test_3d_float_estimate_matches_exact_mode(case):
+    """The trimmed column walk sums exactly the lattice points exact mode
+    enumerates, bounded or with one tail axis, up to float rounding."""
+    ideal, m, cutoff, X = case
+    exact = estimate(ideal, EstimatorConfig(
+        m=m, X=X, ray_cutoff=cutoff, arithmetic="exact_rational"))
+    approx = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
+    assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
+
+
+def test_float_estimate_kernel_calls_are_bounded(monkeypatch):
+    """Each block of at most _CHUNK columns makes one polygamma call on both
+    column ends: no call gets more than 2 * _CHUNK arguments."""
+    sizes = []
+
+    def recording(r, x):
+        sizes.append(x.size)
+        return polygamma(r, x)
+
+    polygamma = lattice.polygamma
+    monkeypatch.setattr(lattice, "polygamma", recording)
+    ideal = make_ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
+    value = estimate(ideal, EstimatorConfig(m=120, X=(F(1, 2), F(1, 3), F(1, 5))))
+    assert 0 < value < 1
+    assert len(sizes) > 1
+    assert max(sizes) <= 2 * pg._CHUNK
 
 
 def test_three_unbounded_axes_estimate():
