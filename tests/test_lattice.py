@@ -382,7 +382,7 @@ def _3d_estimates(draw):
 @settings(max_examples=40, deadline=None)
 @given(_3d_estimates())
 def test_3d_float_estimate_matches_exact_mode(case):
-    """The trimmed column walk sums exactly the lattice points exact mode
+    """The cut column walk sums exactly the lattice points exact mode
     enumerates, bounded or with one tail axis, up to float rounding."""
     ideal, m, cutoff, X = case
     exact = estimate(ideal, EstimatorConfig(
@@ -394,13 +394,12 @@ def test_3d_float_estimate_matches_exact_mode(case):
 def test_float_estimate_kernel_calls_are_bounded(monkeypatch):
     """Each block of at most _CHUNK columns makes one polygamma call on both
     column ends: no call gets more than 2 * _CHUNK arguments."""
-    sizes = []
+    sizes, polygamma = [], lattice.polygamma
 
     def recording(r, x):
         sizes.append(x.size)
         return polygamma(r, x)
 
-    polygamma = lattice.polygamma
     monkeypatch.setattr(lattice, "polygamma", recording)
     ideal = make_ideal(3, [(2, 0, 0), (0, 3, 0), (0, 0, 2), (1, 1, 1)])
     value = estimate(ideal, EstimatorConfig(m=120, X=(F(1, 2), F(1, 3), F(1, 5))))
