@@ -50,25 +50,28 @@ bounds the time instead (2^22 columns take about 0.15 s on a 2-vCPU Xeon
 when every one is a member, as in a 2-D box). The result is the same
 truncated sum that exact mode enumerates, up to float rounding.
 
-Exact mode and the lct_based mode enumerate the box literally: they are the
-oracles the column sums are tested against. Exact mode refuses up front
-(EstimateTooLarge) when its box holds more than MAX_COLUMNS points or its
-integer denominators would leave int64; both it and the float path read
-the polyhedron's int facets and refuse when c*m + w.a over the box, or a
-box coordinate plus one, would.
+Exact mode enumerates the box literally: it is the oracle the column sums
+are tested against. It refuses up front (EstimateTooLarge) when its box
+holds more than MAX_COLUMNS points or its integer denominators would leave
+int64; both it and the float path read the polyhedron's int facets and
+refuse when c*m + w.a over the box, or a box coordinate plus one, would.
 Below that it enumerates the box in blocks of about 2^13 points split along
 its longest axis, so its memory grows only with the number of distinct
-denominators. Like kernel_term, the lct_based mode sums exactly from the
-rational value of every X_i and converts to float only at return, in
-float64 mode.
+denominators.
 
 Two membership backends exist: "membership_based" evaluates the facet
-inequalities of the region; "lct_based" rebuilds, for every lattice point,
-the cross-stretched ideal and compares m against the product times its log
-canonical threshold. They must index the same set away from points with
-some a_i = 1; mode_agreement_report measures exactly that. Both share one
-budget, MAX_LCT_POINTS: lct_based mode refuses a box with more points, and
-the report a scan with more columns, before building anything.
+inequalities; "lct_based" compares m with prod(a) * lct(cross-stretched
+ideal) = 1/tau(a), tau(a) = min{t : t*a in P} (Howald 2001). tau falls as a
+grows, so each column along axis 0 meets the lct side in some [1, T]. One
+scan finds each T by the threshold-side test alone, probed first at the
+facet top t (in Python ints) and t + 1 and bisected only where t is not T,
+so the lct side stays an independent oracle. lct_based mode sums the kernel
+exactly over these columns, binned by denominator as in exact mode, and
+raises InternalInconsistency where the sets differ at a point with every
+a_i > 1 (they may differ where some a_i = 1); mode_agreement_report counts
+both kinds. Neither needs int64. Both share one budget, MAX_LCT_POINTS:
+lct_based mode refuses a box with more points, and the report a scan with
+more columns, before any threshold is computed.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from typing import Sequence
 # commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
 
 from .decompose import cone_decomposition
-from .errors import CutoffTooSmall, EstimateTooLarge, InvalidInput
+from .errors import CutoffTooSmall, EstimateTooLarge, InternalInconsistency, InvalidInput
 from .ideals import MonomialIdeal, _integers, _rationals
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
@@ -96,8 +99,8 @@ LCT_BASED = "lct_based"
 EXACT = "exact_rational"
 FLOAT64 = "float64"
 
-# Largest number of lattice points lct_based mode enumerates, and of columns
-# mode_agreement_report scans (about 1.6 lct evaluations each, ~0.3 ms apiece).
+# Largest box (in points) lct_based mode scans, and most columns the report
+# scans; the scan makes about 1.6 threshold tests per column (~0.3 ms each).
 MAX_LCT_POINTS = 200_000
 
 
@@ -252,7 +255,7 @@ def estimate(ideal: MonomialIdeal, cfg: EstimatorConfig):
     if cfg.tail_tolerance is not None:
         _check_tail(poly, cfg, limits)
     if cfg.condition_mode == LCT_BASED:
-        return _estimate_bruteforce(ideal, cfg, limits)
+        return _estimate_lct(ideal, poly, cfg, limits)
     if cfg.arithmetic == EXACT:
         return _estimate_exact(poly, cfg, limits)
     return _estimate_float(poly, cfg, core, limits)
@@ -371,7 +374,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     over distinct denominator values instead of over lattice points.
     """
     import numpy as np
-    m, n, xs = cfg.m, poly.n, cfg.X
+    m, xs = cfg.m, cfg.X
     L = math.lcm(*(x.denominator for x in xs))
     lx = [int(x * L) for x in xs]
     if any(limit < 1 for limit in limits):
@@ -401,6 +404,12 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         for v, c in zip(values.tolist(), reps.tolist()):
             counts[v] = counts.get(v, 0) + c
 
+    return _kernel_sum(counts, m, xs, L)
+
+
+def _kernel_sum(counts: dict[int, int], m: int, xs: Sequence[Fraction], L: int) -> Fraction:
+    """The kernel summed exactly over counts[k] points of denominator k = L*(m + a.X)."""
+    n = len(xs)
     front = Fraction(m * math.factorial(n) * math.prod(xs)) * Fraction(L) ** (n + 1)
     # sum of c / k^(n+1) as one unreduced integer pair, reduced once at the end
     num, den = 0, 1
@@ -410,22 +419,27 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     return front * Fraction(num, den)
 
 
-def _estimate_bruteforce(ideal: MonomialIdeal, cfg: EstimatorConfig, limits: list[int]):
-    """Literal per-point pipeline for lct_based mode (slow; a stress test).
-
-    Membership of each lattice point is decided by rebuilding the
-    cross-stretched ideal and comparing its threshold against m. The sum is
-    exact, and converted to float at return in float64 mode.
-    """
+def _estimate_lct(ideal: MonomialIdeal, poly: NewtonPolyhedron, cfg: EstimatorConfig,
+                  limits: list[int]):
+    """The truncated sum over the lct scan's columns, exact; a float in float64 mode."""
     points = math.prod(max(limit, 0) for limit in limits)
     if points > MAX_LCT_POINTS:
         raise EstimateTooLarge(
-            f"lct_based mode would rebuild {points} stretched ideals; lower m "
-            "or ray_cutoff, or use membership_based mode")
-    total = Fraction(0)
-    for a in itertools.product(*(range(1, limit + 1) for limit in limits)):
-        if region_condition_via_lct(ideal, a, cfg.m):
-            total += kernel_term(a, cfg.m, cfg.X)
+            f"lct_based mode would scan a box of {points} lattice points, above the "
+            f"limit of {MAX_LCT_POINTS}; lower m or ray_cutoff, or use membership_based mode")
+    tops, report = _lct_scan(ideal, poly, cfg.m, limits)
+    if report.interior_mismatches:
+        raise InternalInconsistency(
+            f"membership and lct index sets differ at {report.interior_mismatches} "
+            f"interior lattice points at m = {cfg.m}")
+    L = math.lcm(*(x.denominator for x in cfg.X))
+    lx = [int(x * L) for x in cfg.X]
+    counts: dict[int, int] = {}
+    for rest, top in tops:
+        base = L * cfg.m + sum(x * a for x, a in zip(lx[1:], rest))
+        for k in range(base + lx[0], base + lx[0] * top + 1, lx[0]):
+            counts[k] = counts.get(k, 0) + 1
+    total = _kernel_sum(counts, cfg.m, cfg.X, L)
     return total if cfg.arithmetic == EXACT else float(total)
 
 
@@ -461,19 +475,42 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 # membership-mode vs lct-mode agreement
 # ---------------------------------------------------------------------------
 
+def _lct_scan(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int,
+              limits: Sequence[int]) -> tuple[list[tuple[tuple[int, ...], int]], ModeAgreement]:
+    """Each column of the box 1 <= a <= limits along axis 0, as its other
+    coordinates with its lct top, and the agreement counts."""
+    b1, tops, evaluations, interior, edge = limits[0], [], 0, 0, 0
+    for rest in itertools.product(*(range(1, b + 1) for b in limits[1:])):
+        # the membership top: the largest a1 in [0, b1] some facet inequality admits
+        slacks = [(f.normal[0], f.offset * m - sum(w * a for w, a in zip(f.normal[1:], rest)))
+                  for f in poly.diagram_facets]
+        t_mem = min(b1, max(0, *(s // w if w else b1 if s >= 0 else 0 for w, s in slacks)))
+        lo, hi = 0, b1 + 1  # the lct top T has lo <= T < hi
+        probes = iter((t_mem, t_mem + 1))  # the facet top and the next point, then bisection
+        while hi - lo > 1:
+            a1 = next(probes, (lo + hi) // 2)
+            if lo < a1 < hi:
+                evaluations += 1
+                lo, hi = (a1, hi) if region_condition_via_lct(ideal, (a1,) + rest, m) else (lo, a1)
+        tops.append((rest, lo))
+        # the modes differ at a1 in (low, high]; a1 = 1 there is an edge point
+        low, high = sorted((t_mem, lo))
+        on_edge = high - low if 1 in rest else int(low == 0 < high)
+        edge += on_edge
+        interior += high - low - on_edge
+
+    return tops, ModeAgreement(
+        m=m, points_covered=math.prod(limits), lct_evaluations=evaluations,
+        interior_mismatches=interior, edge_mismatches=edge)
+
+
 def mode_agreement_report(ideal: MonomialIdeal, m: int) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
-    The box is the estimator's at ray cutoff 4*m. Both sets are down-closed,
-    so each column along axis 0 (the other coordinates fixed) meets them in
-    intervals [1, T]. Per column the membership top t from the facet
-    inequalities is the lct top exactly when the threshold-side test holds
-    at a1 = t and fails at t + 1; only when it does not is the lct top
-    bisected for. Each mismatched point is counted once, as interior (all
-    a_i > 1) or edge (some a_i = 1); lct_evaluations counts the tests.
+    The box is the estimator's at ray cutoff 4*m. Each mismatched point is
+    counted once, as interior (all a_i > 1) or edge (some a_i = 1);
+    lct_evaluations counts the threshold-side tests.
     """
-    import numpy as np
-
     (m,) = _integers((m,), "m")
     if m < 1:
         raise InvalidInput(f"m must be a positive integer, got {m}")
@@ -484,41 +521,4 @@ def mode_agreement_report(ideal: MonomialIdeal, m: int) -> ModeAgreement:
         raise EstimateTooLarge(
             f"mode agreement would scan {scanned} lattice columns, above the limit "
             f"of {MAX_LCT_POINTS}; lower m")
-    facets = _int_facets(poly, m, limits)
-    counter, interior, edge = [0], 0, 0
-
-    b1 = limits[0]
-    columns = list(itertools.product(*(range(1, b + 1) for b in limits[1:])))
-    outer = [None] + [np.array(c, dtype=np.int64) for c in zip(*columns)]
-    tops = np.broadcast_to(_column_tops(facets, m, 0, outer, 1, b1), (len(columns),))
-
-    def holds(a1: int, rest: tuple[int, ...]) -> bool:
-        """The threshold-side test at (a1, *rest); True below the box."""
-        if not 1 <= a1 <= b1:
-            return a1 < 1
-        counter[0] += 1
-        return region_condition_via_lct(ideal, (a1,) + rest, m)
-
-    for rest, t_mem in zip(columns, tops.tolist()):
-        # the lct top lies in [lo, hi): holds at lo, fails at hi
-        if not holds(t_mem, rest):
-            lo, hi = 0, t_mem
-        elif holds(t_mem + 1, rest):
-            lo, hi = t_mem + 1, b1 + 1
-        else:
-            lo, hi = t_mem, t_mem + 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if holds(mid, rest) else (lo, mid)
-        t_lct = lo
-        if t_mem != t_lct:
-            lo, hi = sorted((t_mem, t_lct))
-            for a1 in range(lo + 1, hi + 1):
-                if a1 == 1 or 1 in rest:
-                    edge += 1
-                else:
-                    interior += 1
-
-    return ModeAgreement(
-        m=m, points_covered=math.prod(limits), lct_evaluations=counter[0],
-        interior_mismatches=interior, edge_mismatches=edge)
+    return _lct_scan(ideal, poly, m, limits)[1]

@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import random
 import time
 from fractions import Fraction as F
 
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
-                          InvalidInput, NonPositiveParameter, convergence_report, estimate,
-                          evaluate, kernel_term, make_ideal,
+                          InternalInconsistency, InvalidInput, NonPositiveParameter,
+                          convergence_report, estimate, evaluate, kernel_term, make_ideal,
                           mode_agreement_report, segre_class)
 from newton_segre.lattice import LCT_BASED, MEMBERSHIP, _column_tops, _int_facets
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
+from tests.conftest import random_ideal
 
 lattice = importlib.import_module("newton_segre.lattice")
 pg = importlib.import_module("newton_segre.polygamma")
@@ -151,6 +154,60 @@ def test_lct_mode_agrees_with_membership_small():
     assert member == literal
 
 
+def lct_pointwise(ideal, cfg):
+    """The lct-mode sum point by point: the threshold-side test and
+    kernel_term at every point of the estimator's box, summed exactly and
+    rounded once in float64 mode."""
+    _, limits = lattice._axis_limits(newton_polyhedron(ideal), cfg.m, cfg.ray_cutoff)
+    total = sum((kernel_term(a, cfg.m, cfg.X)
+                 for a in itertools.product(*(range(1, b + 1) for b in limits))
+                 if lattice.region_condition_via_lct(ideal, a, cfg.m)), F(0))
+    return total if cfg.arithmetic == "exact_rational" else float(total)
+
+
+def test_lct_mode_equals_pointwise_sum():
+    """The column scan sums exactly the points the threshold-side test
+    admits, on random 1-3-D ideals, bounded or not, in both arithmetics."""
+    rng = random.Random(5)
+    for _ in range(24):
+        n = rng.choice((1, 2, 2, 3, 3))
+        ideal = random_ideal(rng, n=n, max_gens=4, max_exp=4)
+        m = rng.randint(1, {1: 20, 2: 8, 3: 3}[n])
+        X = tuple(F(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(n))
+        for arithmetic in ("exact_rational", "float64"):
+            cfg = EstimatorConfig(m=m, X=X, condition_mode=LCT_BASED,
+                                  ray_cutoff=2 * m, arithmetic=arithmetic)
+            assert estimate(ideal, cfg) == lct_pointwise(ideal, cfg)
+
+
+def test_lct_mode_follows_the_threshold_side_at_edges(monkeypatch):
+    """Where the sets may differ by design (some a_i = 1), lct mode sums the
+    points the threshold-side test admits, not the facets' members."""
+    ideal = make_ideal(2, [(2, 0), (0, 3)])
+    test = lattice.region_condition_via_lct
+    monkeypatch.setattr(lattice, "region_condition_via_lct",
+                        lambda ideal, a, m: a[1] == 1 or test(ideal, a, m))
+    cfg = EstimatorConfig(m=6, X=(F(1, 3), F(1, 2)), condition_mode=LCT_BASED,
+                          arithmetic="exact_rational")
+    value = estimate(ideal, cfg)
+    assert value == lct_pointwise(ideal, cfg)
+    assert value > estimate(ideal, EstimatorConfig(m=6, X=cfg.X, arithmetic="exact_rational"))
+    report = mode_agreement_report(ideal, 6)
+    assert report.interior_mismatches == 0 < report.edge_mismatches
+
+
+def test_lct_mode_raises_on_interior_mismatch(monkeypatch):
+    """A threshold-side test answered at m - 1 disagrees with the facets at
+    interior points: lct mode refuses to sum, and the report counts them."""
+    ideal, m = make_ideal(2, [(2, 0), (0, 3)]), 12
+    test = lattice.region_condition_via_lct
+    monkeypatch.setattr(lattice, "region_condition_via_lct",
+                        lambda ideal, a, m: test(ideal, a, m - 1))
+    with pytest.raises(InternalInconsistency, match="62 interior"):
+        estimate(ideal, EstimatorConfig(m=m, X=(F(1, 3), F(1, 2)), condition_mode=LCT_BASED))
+    assert mode_agreement_report(ideal, m).interior_mismatches == 62
+
+
 def test_lct_mode_sums_exactly():
     """The float64 lct-mode value is the exact sum rounded once, for X far
     beyond where float kernel terms overflowed."""
@@ -166,7 +223,7 @@ def test_lct_mode_sums_exactly():
 def test_lct_mode_refuses_runaway_enumeration():
     ideal = make_ideal(2, [(1, 1)])
     cfg = EstimatorConfig(m=100, X=(F(1), F(1)), condition_mode=LCT_BASED)
-    with pytest.raises(EstimateTooLarge, match="stretched ideals"):
+    with pytest.raises(EstimateTooLarge, match="box of 10000000000 lattice points"):
         estimate(ideal, cfg)
 
 
@@ -176,7 +233,7 @@ def test_lct_budget_covers_report_and_lct_mode(monkeypatch):
     monkeypatch.setattr(lattice, "MAX_LCT_POINTS", 17)
     with pytest.raises(EstimateTooLarge, match="18 lattice columns"):
         mode_agreement_report(ideal, m=6)
-    with pytest.raises(EstimateTooLarge, match="216 stretched ideals"):
+    with pytest.raises(EstimateTooLarge, match="box of 216 lattice points"):
         estimate(ideal, EstimatorConfig(m=6, X=(F(1), F(1)), condition_mode=LCT_BASED))
     monkeypatch.setattr(lattice, "MAX_LCT_POINTS", 18)
     assert mode_agreement_report(ideal, m=6).interior_mismatches == 0
@@ -308,6 +365,14 @@ def test_mode_agreement_counts_each_mismatch_once(monkeypatch):
                   for a1 in range(1, 13) for a2 in range(1, 19))
     assert members == 96
     assert report.interior_mismatches + report.edge_mismatches == members
+
+
+def test_mode_agreement_needs_no_int64():
+    """The scan's facet tops are Python ints: x2^(10^19) takes c*m + w.a past
+    int64, and the two index sets are still compared."""
+    report = mode_agreement_report(make_ideal(2, [(2, 0), (0, 10 ** 19)]), 3)
+    assert report.interior_mismatches == report.edge_mismatches == 0
+    assert report.lct_evaluations > 0
 
 
 def test_mode_agreement_other_dims():
