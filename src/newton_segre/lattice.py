@@ -447,15 +447,16 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
                        condition_mode: str = MEMBERSHIP,
                        arithmetic: str = FLOAT64,
                        ray_cutoff: int | None = None) -> list[ConvergenceRow]:
-    """Estimates along increasing m with the exact value and absolute errors.
+    """Estimates along strictly increasing m, the exact value and the absolute
+    errors.
 
     ray_cutoff applies to every m; None means each m's default 10*m^2. Every
     estimate runs before the cone decomposition and the exact value, so a
     refused one costs no more than the polyhedron its refusal reads.
     """
     m_list = _integers(m_list, "m_list entries")
-    if list(m_list) != sorted(m_list):
-        raise InvalidInput("m_list must be increasing")
+    if any(a >= b for a, b in zip(m_list, m_list[1:])):
+        raise InvalidInput("m_list must be strictly increasing")
     _check_length(ideal, _exact_point(X)[0])
     poly = newton_polyhedron(ideal)  # built here, so no row's time includes it
     timed = []

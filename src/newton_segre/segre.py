@@ -14,10 +14,10 @@ numerical quadrature oracle in the test suite before anything downstream is
 trusted.
 
 Every factor of that product has integer coefficients (the vertices are
-generators, the jacobian an integer determinant), so the expansions run on
-integer series. A piece is expanded by dividing jacobian * X^e by each
-linear form 1 + v_k . X in turn, one total degree at a time: O(terms * n)
-per vertex, with no inverse series built, multiplied or cached.
+generators, the jacobian an integer determinant), so a piece is expanded on
+one int coefficient dict: jacobian * X^e is divided by each linear form
+1 + v_k . X in turn through series._quotient, one total degree at a time,
+O(terms * n) per vertex, and the result is typed as a series once.
 
 Summing the expansions over a cone decomposition of the region gives the
 multivariate class; substituting every X_i by the hyperplane class H and
@@ -38,7 +38,7 @@ from .decompose import GeneralizedSimplex, cone_decomposition
 from .errors import AmbientTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
 from .ideals import MonomialIdeal, _integers, _rationals
 from .polyhedron import newton_polyhedron
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _quotient
 
 # Largest number of terms one Segre series may hold; each is a dict entry, and
 # 2^16 of them take 0.5-1.4 s and 53-64 MiB on a 2-vCPU Xeon.
@@ -61,12 +61,13 @@ def integrate_piece(piece: GeneralizedSimplex, nvars: int,
     nvars, degree_bound = _integers((nvars, degree_bound), "nvars and degree_bound")
     if nvars != piece.n:
         raise InvalidInput(f"a piece in {piece.n} variables expanded in nvars={nvars}")
-    exponent = [0 if axis in piece.ray_axes else 1 for axis in range(nvars)]
-    series = TruncatedSeries.monomial(nvars, degree_bound, exponent, piece.jacobian)
+    units = [tuple(int(i == axis) for i in range(nvars)) for axis in range(nvars)]
+    coeffs = {tuple(int(axis not in piece.ray_axes) for axis in range(nvars)): piece.jacobian}
     for vertex in piece.finite_vertices:
         if any(vertex):
-            series = series / TruncatedSeries.one_plus_linear(nvars, degree_bound, vertex)
-    return series
+            linear = {(0,) * nvars: 1, **{e: v for e, v in zip(units, vertex) if v}}
+            coeffs = _quotient(coeffs, linear, degree_bound)
+    return TruncatedSeries(nvars, degree_bound, coeffs)
 
 
 def _exact_point(point: Sequence) -> tuple[list[Fraction], bool]:

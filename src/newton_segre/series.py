@@ -6,12 +6,13 @@ builds has integer coefficients (its vertices are generators and its
 jacobians integer determinants), so coefficients are plain ints and anything
 else is refused with InvalidInput. Coefficients, scalars, nvars, degree_bound
 and top_degree are read by ideals._integers, and so are all exponents of a
-series in one call: each is a tuple of nvars non-negative ints. Division by
-a series whose constant term is a unit of Z, 1 or -1, solves for the
-quotient one total degree at a time; inverse() is 1 / self. The Segre class
-divides by the linear forms (1 + v.X) directly; the series product and
-inverse() stay for other callers and for the benchmark's per-layer
-counters, which name them.
+series in one call: each is a tuple of nvars non-negative ints. _quotient
+is the package's one division recurrence: on checked int coefficient dicts,
+by a divisor whose constant term is a unit of Z, 1 or -1, it solves for the
+quotient one total degree at a time. Division of series and inverse() (which
+is 1 / self) type its result; the Segre class calls it on plain dicts,
+without the class. The series product and inverse() stay for other callers
+and for the benchmark's per-layer counters, which name them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,32 @@ from .errors import InvalidInput
 from .ideals import _integers
 
 Exponent = tuple[int, ...]
+
+
+def _quotient(num: Mapping[Exponent, int], den: Mapping[Exponent, int],
+              degree_bound: int) -> dict[Exponent, int]:
+    """The quotient q with q * den == num below total degree degree_bound, on
+    int coefficient dicts over checked exponent tuples; terms of num above
+    the bound are dropped. den's constant term c0 must be 1 or -1. Splitting
+    every series by total degree, q_d = c0 * (num_d - sum_{k>=1} den_k *
+    q_(d-k)), since c0 is its own inverse."""
+    c0 = sum(c for e, c in den.items() if not any(e))
+    if c0 not in (1, -1):
+        raise InvalidInput(
+            f"series with constant term {c0} is not a unit over the integers")
+    rest = [(e, sum(e), c) for e, c in den.items() if any(e)]
+    parts: list[dict[Exponent, int]] = [{} for _ in range(degree_bound + 1)]
+    for exp, c in num.items():
+        if sum(exp) <= degree_bound:
+            parts[sum(exp)][exp] = c
+    for d, part in enumerate(parts):
+        for e1, k, c1 in rest:
+            if k <= d:
+                for e2, c2 in parts[d - k].items():
+                    exp = tuple(map(add, e1, e2))
+                    part[exp] = part.get(exp, 0) - c1 * c2
+        parts[d] = {e: c0 * c for e, c in part.items() if c}
+    return {e: c for part in parts for e, c in part.items()}
 
 
 class TruncatedSeries:
@@ -57,26 +84,6 @@ class TruncatedSeries:
     @classmethod
     def constant(cls, nvars: int, degree_bound: int, value: int) -> "TruncatedSeries":
         return cls(nvars, degree_bound, {(0,) * nvars: value})
-
-    @classmethod
-    def monomial(cls, nvars: int, degree_bound: int, exponent: Sequence[int],
-                 coeff: int = 1) -> "TruncatedSeries":
-        return cls(nvars, degree_bound, {tuple(exponent): coeff})
-
-    @classmethod
-    def one_plus_linear(cls, nvars: int, degree_bound: int,
-                        v: Sequence[int]) -> "TruncatedSeries":
-        """1 + v_1 X_1 + ... + v_n X_n; v must have nvars entries."""
-        v = _integers(v, "linear coefficients")
-        if len(v) != nvars:
-            raise InvalidInput(f"linear coefficients {v} must have {nvars} entries")
-        coeffs: dict[Exponent, int] = {(0,) * nvars: 1}
-        for i, vi in enumerate(v):
-            if vi:
-                exp = [0] * nvars
-                exp[i] = 1
-                coeffs[tuple(exp)] = vi
-        return cls(nvars, degree_bound, coeffs)
 
     # ---- ring operations ----------------------------------------------
 
@@ -113,30 +120,13 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other: "TruncatedSeries | int") -> "TruncatedSeries":
-        """The quotient q with q * other == self; other's constant term c0
-        must be 1 or -1. Splitting every series by total degree,
-        q_d = c0 * (self_d - sum_{k>=1} other_k * q_(d-k)), since c0 is its
-        own inverse."""
+        """The quotient q with q * other == self; other's constant term must be
+        1 or -1 (see _quotient)."""
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.nvars, self.degree_bound, other)
         self._compatible(other)
-        c0 = other.coefficient((0,) * self.nvars)
-        if c0 not in (1, -1):
-            raise InvalidInput(
-                f"series with constant term {c0} is not a unit over the integers")
-        rest = [(e, sum(e), c) for e, c in other.coeffs.items() if any(e)]
-        parts: list[dict[Exponent, int]] = [{} for _ in range(self.degree_bound + 1)]
-        for exp, c in self.coeffs.items():
-            parts[sum(exp)][exp] = c
-        for d, part in enumerate(parts):
-            for e1, k, c1 in rest:
-                if k <= d:
-                    for e2, c2 in parts[d - k].items():
-                        exp = tuple(map(add, e1, e2))
-                        part[exp] = part.get(exp, 0) - c1 * c2
-            parts[d] = {e: c0 * c for e, c in part.items() if c}
         return TruncatedSeries(self.nvars, self.degree_bound,
-                               {e: c for part in parts for e, c in part.items()})
+                               _quotient(self.coeffs, other.coeffs, self.degree_bound))
 
     def inverse(self) -> "TruncatedSeries":
         """1 / self; the constant term must be 1 or -1."""

@@ -51,9 +51,9 @@ def test_criterion_2_diagonal_exactness():
             result = segre_class(make_ideal(2, [(l1, 0), (0, l2)]),
                                  ambient_dim=ambient)
             elapsed = time.perf_counter() - start
-            expected = (TruncatedSeries.monomial(2, ambient, (1, 1), l1 * l2)
-                        * TruncatedSeries.one_plus_linear(2, ambient, (l1, 0)).inverse()
-                        * TruncatedSeries.one_plus_linear(2, ambient, (0, l2)).inverse())
+            expected = (TruncatedSeries(2, ambient, {(1, 1): l1 * l2})
+                        * TruncatedSeries(2, ambient, {(0, 0): 1, (1, 0): l1}).inverse()
+                        * TruncatedSeries(2, ambient, {(0, 0): 1, (0, 1): l2}).inverse())
             assert result.multivariate == expected
             assert result.pushforward == expected.pushforward(ambient)
             assert elapsed < 0.1

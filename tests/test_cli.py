@@ -324,6 +324,8 @@ def test_estimate_requires_m(capsys):
     # a JSON "n" is read as given, never inferred over
     (["lct", '{"n": -1, "generators": [[1]]}'], "DimensionMismatch"),
     (["lct", '{"n": 0, "generators": [[1]]}'], "DimensionMismatch"),
+    # --m-list increases strictly: a repeated m would print the same row twice
+    (["estimate", "x1^2", "--m-list", "3,3", "--X", "1"], "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args

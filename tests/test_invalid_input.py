@@ -123,15 +123,12 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
     lambda: mode_agreement_report(_IDEAL, -1),
     # the estimator's X is a point, not a number
     lambda: EstimatorConfig(m=5, X=3),
-    # series exponents are tuples of nvars non-negative integers, and a
-    # linear form has nvars coefficients
+    # series exponents are tuples of nvars non-negative integers
     lambda: TruncatedSeries(2, 3, {(-1, 0): 1}),
     lambda: TruncatedSeries(2, 3, {(1.5, 0): 1}),
     lambda: TruncatedSeries(2, 3, {("a", 0): 1}),
     lambda: TruncatedSeries(2, 3, {5: 1}),
-    lambda: TruncatedSeries.monomial(2, 3, (-1, 2)),
-    lambda: TruncatedSeries.one_plus_linear(2, 3, (1, 2, 3)),
-    lambda: TruncatedSeries.one_plus_linear(2, 3, (1,)),
+    lambda: TruncatedSeries(2, 3, {(-1, 2): 1}),
     # packing LP points are non-negative
     lambda: solve_lp([(-1, -1)]),
     lambda: solve_lp([(1, -1)]),
@@ -176,8 +173,8 @@ _TRIANGLE = make_piece([(0, 0), (1, 0), (0, 1)], [])
         "vertex-order-int", "agreement-zero-m", "agreement-negative-m",
         "config-scalar-X",
         "series-negative-exponent", "series-float-exponent", "series-string-exponent",
-        "series-int-key", "monomial-negative-exponent", "linear-form-too-long",
-        "linear-form-too-short", "solve_lp-negative-point", "solve_lp-mixed-sign-point",
+        "series-int-key", "monomial-negative-exponent",
+        "solve_lp-negative-point", "solve_lp-mixed-sign-point",
         "feasible-negative-point", "convergence-scalar-X", "kernel-scalar-X",
         "config-string-tolerance", "config-nan-tolerance", "config-negative-tolerance"])
 def test_caller_input_errors_are_typed(call):

@@ -322,8 +322,9 @@ def test_refused_report_builds_no_decomposition(monkeypatch):
 
 
 def test_convergence_report_requires_increasing_m():
-    with pytest.raises(ValueError):
-        convergence_report(make_ideal(1, [(1,)]), (F(1),), [100, 50])
+    for m_list in ([100, 50], [50, 50]):
+        with pytest.raises(ValueError):
+            convergence_report(make_ideal(1, [(1,)]), (F(1),), m_list)
 
 
 def test_column_tops_match_point_tests():

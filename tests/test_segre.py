@@ -33,9 +33,9 @@ def test_segment_expansion_matches_geometric_series():
 def test_diagonal_closed_form():
     l1, l2, top = 2, 3, 5
     result = segre_class(make_ideal(2, [(l1, 0), (0, l2)]), ambient_dim=top)
-    expected = (TruncatedSeries.monomial(2, top, (1, 1), l1 * l2)
-                * TruncatedSeries.one_plus_linear(2, top, (l1, 0)).inverse()
-                * TruncatedSeries.one_plus_linear(2, top, (0, l2)).inverse())
+    expected = (TruncatedSeries(2, top, {(1, 1): l1 * l2})
+                * TruncatedSeries(2, top, {(0, 0): 1, (1, 0): l1}).inverse()
+                * TruncatedSeries(2, top, {(0, 0): 1, (0, 1): l2}).inverse())
     assert result.multivariate == expected
 
 
@@ -43,9 +43,8 @@ def test_crossing_divisor_multivariate():
     # (x1 x2): (X1 + X2)/(1 + X1 + X2), pushforward 2H/(1+2H)
     top = 3
     result = segre_class(make_ideal(2, [(1, 1)]), ambient_dim=top)
-    expected = ((TruncatedSeries.monomial(2, top, (1, 0))
-                 + TruncatedSeries.monomial(2, top, (0, 1)))
-                * TruncatedSeries.one_plus_linear(2, top, (1, 1)).inverse())
+    expected = (TruncatedSeries(2, top, {(1, 0): 1, (0, 1): 1})
+                * TruncatedSeries(2, top, {(0, 0): 1, (1, 0): 1, (0, 1): 1}).inverse())
     assert result.multivariate == expected
     assert result.pushforward == divisor_pushforward(2, top)
 
@@ -160,6 +159,35 @@ def test_float_point_is_read_exactly():
 def test_ambient_too_small():
     with pytest.raises(AmbientTooSmall):
         segre_class(make_ideal(3, [(1, 1, 1)]), ambient_dim=1)
+
+
+@pytest.mark.parametrize("n, gens, pushforward, terms", [
+    (2, [(2, 0), (0, 3)], (0,), []),
+    (2, [(2, 0), (1, 1)], (1,), [((1, 0), 1)]),
+    (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)], (0, 0), []),
+    (3, [(1, 1, 0), (0, 1, 1)], (1, 0), [((0, 1, 0), 1), ((0, 2, 0), -1), ((1, 0, 1), 1)]),
+])
+def test_smallest_ambient(n, gens, pushforward, terms):
+    """At ambient n - 1 the start monomial X_1..X_n of a piece without rays
+    lies above the degree bound, so that piece adds nothing."""
+    result = segre_class(make_ideal(n, gens), ambient_dim=n - 1)
+    assert result.pushforward == pushforward
+    assert result.multivariate.terms() == terms
+
+
+@pytest.mark.parametrize("n, gens, built", [
+    (2, [(2, 0), (1, 1), (0, 3)], 3),
+    (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 2),
+])
+def test_segre_class_types_one_series_per_piece(monkeypatch, n, gens, built):
+    """Each piece is expanded on a plain dict and typed once, and the sum
+    once: pieces + 1 series, none per division."""
+    calls = []
+    init = TruncatedSeries.__init__
+    monkeypatch.setattr(TruncatedSeries, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    result = segre_class(make_ideal(n, gens), ambient_dim=n)
+    assert len(calls) == len(result.pieces) + 1 == built
 
 
 def test_constant_term_always_zero(rng):

@@ -10,14 +10,14 @@ from newton_segre import InvalidInput, TruncatedSeries
 
 
 def test_monomial_and_add():
-    s = TruncatedSeries.monomial(2, 3, (1, 0), 2) + TruncatedSeries.monomial(2, 3, (0, 1), 3)
+    s = TruncatedSeries(2, 3, {(1, 0): 2}) + TruncatedSeries(2, 3, {(0, 1): 3})
     assert s.coefficient((1, 0)) == 2
     assert s.coefficient((0, 1)) == 3
     assert s.coefficient((0, 0)) == 0
 
 
 def test_truncation_drops_high_degree():
-    x = TruncatedSeries.monomial(1, 2, (1,))
+    x = TruncatedSeries(1, 2, {(1,): 1})
     cube = x * x * x
     assert cube.coeffs == {}
 
@@ -60,27 +60,27 @@ def test_division_matches_geometric_oracle(case):
 
 
 def test_division_needs_a_compatible_unit():
-    s = TruncatedSeries.one_plus_linear(2, 3, (1, 2))
-    for bad in (TruncatedSeries.monomial(2, 3, (1, 0)), s * 2, 2,
-                TruncatedSeries.one_plus_linear(2, 4, (1, 2)),
-                TruncatedSeries.one_plus_linear(3, 3, (1, 2, 0))):
+    s = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): 1, (0, 1): 2})
+    for bad in (TruncatedSeries(2, 3, {(1, 0): 1}), s * 2, 2,
+                TruncatedSeries(2, 4, {(0, 0): 1, (1, 0): 1, (0, 1): 2}),
+                TruncatedSeries(3, 3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 2})):
         with pytest.raises(InvalidInput):
             s / bad
 
 
 def test_geometric_inverse_one_variable():
-    inv = TruncatedSeries.one_plus_linear(1, 4, (2,)).inverse()
+    inv = TruncatedSeries(1, 4, {(0,): 1, (1,): 2}).inverse()
     assert [inv.coefficient((k,)) for k in range(5)] == [1, -2, 4, -8, 16]
 
 
 def test_inverse_times_original_is_one():
-    f = TruncatedSeries.one_plus_linear(2, 5, (2, -3))
+    f = TruncatedSeries(2, 5, {(0, 0): 1, (1, 0): 2, (0, 1): -3})
     product = f * f.inverse()
     assert product == TruncatedSeries.constant(2, 5, 1)
 
 
 def test_inverse_of_scaled_unit():
-    f = TruncatedSeries.constant(1, 3, -1) + TruncatedSeries.monomial(1, 3, (1,), 2)
+    f = TruncatedSeries.constant(1, 3, -1) + TruncatedSeries(1, 3, {(1,): 2})
     inv = f.inverse()
     assert [inv.coefficient((k,)) for k in range(4)] == [-1, -2, -4, -8]
     assert inv * f == TruncatedSeries.constant(1, 3, 1)
@@ -88,9 +88,9 @@ def test_inverse_of_scaled_unit():
 
 def test_inverse_needs_unit():
     with pytest.raises(InvalidInput):
-        TruncatedSeries.monomial(1, 3, (1,)).inverse()
+        TruncatedSeries(1, 3, {(1,): 1}).inverse()
     with pytest.raises(InvalidInput):
-        (TruncatedSeries.constant(1, 3, 2) + TruncatedSeries.monomial(1, 3, (1,))).inverse()
+        (TruncatedSeries.constant(1, 3, 2) + TruncatedSeries(1, 3, {(1,): 1})).inverse()
 
 
 def test_coefficients_are_integers():
@@ -105,18 +105,18 @@ def test_coefficients_are_integers():
 
 
 def test_pushforward_buckets_by_total_degree():
-    s = (TruncatedSeries.monomial(2, 3, (1, 0), 2)
-         + TruncatedSeries.monomial(2, 3, (0, 1), 3)
-         + TruncatedSeries.monomial(2, 3, (1, 1), -4))
+    s = (TruncatedSeries(2, 3, {(1, 0): 2})
+         + TruncatedSeries(2, 3, {(0, 1): 3})
+         + TruncatedSeries(2, 3, {(1, 1): -4}))
     assert s.pushforward(3) == (F(5), F(-4), F(0))
 
 
 def test_product_against_sympy():
     """Expansion of l1 l2 X Y / ((1 + l1 X)(1 + l2 Y)) matches sympy."""
     l1, l2, bound = 2, 3, 5
-    series = (TruncatedSeries.monomial(2, bound, (1, 1), l1 * l2)
-              * TruncatedSeries.one_plus_linear(2, bound, (l1, 0)).inverse()
-              * TruncatedSeries.one_plus_linear(2, bound, (0, l2)).inverse())
+    series = (TruncatedSeries(2, bound, {(1, 1): l1 * l2})
+              * TruncatedSeries(2, bound, {(0, 0): 1, (1, 0): l1}).inverse()
+              * TruncatedSeries(2, bound, {(0, 0): 1, (0, 1): l2}).inverse())
     x, y = sympy.symbols("x y")
     expr = l1 * l2 * x * y / ((1 + l1 * x) * (1 + l2 * y))
     poly = sympy.Poly(sympy.series(sympy.series(expr, x, 0, bound + 1).removeO(),
@@ -131,9 +131,9 @@ def test_product_against_sympy():
 
 
 def test_terms_order_deterministic():
-    s = (TruncatedSeries.monomial(2, 3, (0, 2))
-         + TruncatedSeries.monomial(2, 3, (1, 0))
-         + TruncatedSeries.monomial(2, 3, (2, 0)))
+    s = (TruncatedSeries(2, 3, {(0, 2): 1})
+         + TruncatedSeries(2, 3, {(1, 0): 1})
+         + TruncatedSeries(2, 3, {(2, 0): 1}))
     assert [exp for exp, _ in s.terms()] == [(1, 0), (0, 2), (2, 0)]
 
 
