@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import EstimateTooLarge, InvalidInput, NewtonSegreError
 from .ideals import parse_ideal, serialize_ideal
-from .lattice import EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, convergence_report
+from .lattice import EXACT, FLOAT64, LCT_BASED, MEMBERSHIP, _increasing, convergence_report
 from .lct import diagonal_exit
 from .polygamma import (verify_diagonal_identity, verify_power_identity,
                         verify_two_variable_identity)
@@ -38,10 +38,12 @@ def _parse_x(text: str) -> tuple[Fraction, ...]:
 
 
 def _parse_m_list(text: str) -> list[int]:
+    """The m values of --m-list, which must increase strictly."""
     try:
-        return [int(part) for part in text.split(",")]
+        m_list = [int(part) for part in text.split(",")]
     except ValueError:
         raise InvalidInput(f"bad m list {text!r}: expected comma-separated integers") from None
+    return _increasing(m_list)
 
 
 def _decimal_digits(k: int) -> int:

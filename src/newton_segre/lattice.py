@@ -39,8 +39,11 @@ cuts below. A cell's columns are then walked along the longest axis s of
 its outer grid (axis k pinned), cut to the region at a_k = lo: axis s ends
 at the last a_s whose corner (every other axis at its start) is a member,
 so the walk stops at the first empty row, and each block of rows spans on
-every other axis only the extent its first row's corner reaches. The
-region is down-closed, so no member falls outside these cuts. A
+every other axis only the extent its first row's corner reaches. These
+scalar cuts take the facet top of one column in Python ints (_facet_top,
+which the lct scan shares); whole blocks of columns take it in numpy
+(_column_tops). The region is down-closed, so no member falls outside
+these cuts. A
 block holds the rows that fit in about 2^13 columns (the polygamma
 module's private block size), or one row where a row is wider, and both
 ends of its nonempty columns go to one polygamma call. Under the
@@ -57,7 +60,9 @@ int64; both it and the float path read the polyhedron's int facets and
 refuse when c*m + w.a over the box, or a box coordinate plus one, would.
 Below that it enumerates the box in blocks of about 2^13 points split along
 its longest axis, so its memory grows only with the number of distinct
-denominators.
+denominators. Their terms count/k^(n+1) are added as unreduced int pairs in
+a balanced tree (segre._pair_sum), so the sum costs a few products of the
+result's size rather than time quadratic in the number of denominators.
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities; "lct_based" compares m with prod(a) * lct(cross-stretched
@@ -66,7 +71,8 @@ grows, so each column along axis 0 meets the lct side in some [1, T]. One
 scan finds each T by the threshold-side test alone, probed first at the
 facet top t (in Python ints) and t + 1 and bisected only where t is not T,
 so the lct side stays an independent oracle. lct_based mode sums the kernel
-exactly over these columns, binned by denominator as in exact mode, and
+exactly over these columns, binned by denominator as in exact mode (in
+float64 mode the exact pair is divided once, never reduced), and
 raises InternalInconsistency where the sets differ at a point with every
 a_i > 1 (they may differ where some a_i = 1); mode_agreement_report counts
 both kinds. Neither needs int64. Both share one budget, MAX_LCT_POINTS:
@@ -92,7 +98,7 @@ from .ideals import MonomialIdeal, _integers, _rationals
 from .lct import region_condition_via_lct
 from .polygamma import _INT64_MAX, MAX_COLUMNS, _blocks, polygamma
 from .polyhedron import Facet, NewtonPolyhedron, newton_polyhedron
-from .segre import _exact_point, evaluate
+from .segre import _common_denominator, _exact_point, _pair_sum, _rational, evaluate
 
 MEMBERSHIP = "membership_based"
 LCT_BASED = "lct_based"
@@ -218,6 +224,19 @@ def _member_mask(facets: Sequence[Facet], m: int,
     return mask
 
 
+def _facet_top(facets: Sequence[Facet], m: int, k: int,
+               outer: Sequence[int], lo: int, hi: int) -> int:
+    """_column_tops for one column whose outer coordinates are Python ints,
+    in Python ints: no numpy scalar and no int64 limit."""
+    top = lo - 1
+    for f in facets:
+        slack = f.offset * m - sum(w * a for j, (w, a) in enumerate(zip(f.normal, outer))
+                                   if j != k and w)
+        w = f.normal[k]
+        top = max(top, slack // w if w else hi if slack >= 0 else lo - 1)
+    return min(top, hi)
+
+
 def _column_tops(facets: Sequence[Facet], m: int, k: int,
                  outer: Sequence, lo: int, hi: int) -> np.ndarray:
     """Per column along axis k: the largest member a_k in [lo, hi], else lo - 1.
@@ -340,12 +359,12 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         lengths = [stop - start + 1 for start, stop in grid]
         s = lengths.index(max(lengths))
         corner = [lo if j == k else start for j, (start, _) in enumerate(grid)]
-        end = int(_column_tops(blind, m, s, corner, *grid[s]))
+        end = _facet_top(blind, m, s, corner, *grid[s])
         first = grid[s][0]
         while first <= end:
             corner[s] = first
             cut = [(start, stop) if j in (k, s) else
-                   (start, int(_column_tops(blind, m, j, corner, start, stop)))
+                   (start, _facet_top(blind, m, j, corner, start, stop))
                    for j, (start, stop) in enumerate(grid)]
             width = math.prod(stop - start + 1 for j, (start, stop) in enumerate(cut) if j != s)
             last = next(_blocks(first, end + 1, width))[1]  # rows of about _CHUNK columns
@@ -375,8 +394,7 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
     """
     import numpy as np
     m, xs = cfg.m, cfg.X
-    L = math.lcm(*(x.denominator for x in xs))
-    lx = [int(x * L) for x in xs]
+    L, lx = _common_denominator(xs)
     if any(limit < 1 for limit in limits):
         return Fraction(0)
     points = math.prod(limits)
@@ -404,19 +422,17 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
         for v, c in zip(values.tolist(), reps.tolist()):
             counts[v] = counts.get(v, 0) + c
 
-    return _kernel_sum(counts, m, xs, L)
+    return Fraction(*_kernel_sum(counts, m, xs, L))
 
 
-def _kernel_sum(counts: dict[int, int], m: int, xs: Sequence[Fraction], L: int) -> Fraction:
-    """The kernel summed exactly over counts[k] points of denominator k = L*(m + a.X)."""
+def _kernel_sum(counts: dict[int, int], m: int, xs: Sequence[Fraction],
+                L: int) -> tuple[int, int]:
+    """The kernel summed exactly over counts[k] points of denominator
+    k = L*(m + a.X), as an unreduced int pair (numerator, denominator)."""
     n = len(xs)
-    front = Fraction(m * math.factorial(n) * math.prod(xs)) * Fraction(L) ** (n + 1)
-    # sum of c / k^(n+1) as one unreduced integer pair, reduced once at the end
-    num, den = 0, 1
-    for k, c in counts.items():
-        q = k ** (n + 1)
-        num, den = num * q + c * den, den * q
-    return front * Fraction(num, den)
+    front = Fraction(m * math.factorial(n) * L ** (n + 1)) * math.prod(xs)
+    num, den = _pair_sum((c, k ** (n + 1)) for k, c in counts.items())
+    return front.numerator * num, front.denominator * den
 
 
 def _estimate_lct(ideal: MonomialIdeal, poly: NewtonPolyhedron, cfg: EstimatorConfig,
@@ -432,15 +448,21 @@ def _estimate_lct(ideal: MonomialIdeal, poly: NewtonPolyhedron, cfg: EstimatorCo
         raise InternalInconsistency(
             f"membership and lct index sets differ at {report.interior_mismatches} "
             f"interior lattice points at m = {cfg.m}")
-    L = math.lcm(*(x.denominator for x in cfg.X))
-    lx = [int(x * L) for x in cfg.X]
+    L, lx = _common_denominator(cfg.X)
     counts: dict[int, int] = {}
     for rest, top in tops:
         base = L * cfg.m + sum(x * a for x, a in zip(lx[1:], rest))
         for k in range(base + lx[0], base + lx[0] * top + 1, lx[0]):
             counts[k] = counts.get(k, 0) + 1
-    total = _kernel_sum(counts, cfg.m, cfg.X, L)
-    return total if cfg.arithmetic == EXACT else float(total)
+    return _rational(*_kernel_sum(counts, cfg.m, cfg.X, L), cfg.arithmetic != EXACT)
+
+
+def _increasing(m_list: Sequence[int]) -> list[int]:
+    """m_list read by ideals._integers; InvalidInput unless it increases strictly."""
+    m_list = _integers(m_list, "m_list entries")
+    if any(a >= b for a, b in zip(m_list, m_list[1:])):
+        raise InvalidInput("m_list must be strictly increasing")
+    return m_list
 
 
 def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
@@ -454,9 +476,7 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
     estimate runs before the cone decomposition and the exact value, so a
     refused one costs no more than the polyhedron its refusal reads.
     """
-    m_list = _integers(m_list, "m_list entries")
-    if any(a >= b for a, b in zip(m_list, m_list[1:])):
-        raise InvalidInput("m_list must be strictly increasing")
+    m_list = _increasing(m_list)
     _check_length(ideal, _exact_point(X)[0])
     poly = newton_polyhedron(ideal)  # built here, so no row's time includes it
     timed = []
@@ -483,9 +503,7 @@ def _lct_scan(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int,
     b1, tops, evaluations, interior, edge = limits[0], [], 0, 0, 0
     for rest in itertools.product(*(range(1, b + 1) for b in limits[1:])):
         # the membership top: the largest a1 in [0, b1] some facet inequality admits
-        slacks = [(f.normal[0], f.offset * m - sum(w * a for w, a in zip(f.normal[1:], rest)))
-                  for f in poly.diagram_facets]
-        t_mem = min(b1, max(0, *(s // w if w else b1 if s >= 0 else 0 for w, s in slacks)))
+        t_mem = _facet_top(poly.diagram_facets, m, 0, (0, *rest), 1, b1)
         lo, hi = 0, b1 + 1  # the lct top T has lo <= T < hi
         probes = iter((t_mem, t_mem + 1))  # the facet top and the next point, then bisection
         while hi - lo > 1:

@@ -15,16 +15,20 @@ with a fixed number of terms per order: term k = K(r) is the first whose
 size at x = SHIFT_THRESHOLD is below 2^-60 of the leading term, and it and
 all later terms are dropped (K = 7..11 for r = 1..8). Because K depends on
 r only, every element of an array argument is computed exactly as a scalar
-call would compute it. Only the elements below the threshold are shifted,
-in arrays of their own, so an array wholly above it (as the lattice sums
-mostly pass) skips the shift. Then, with inv = 1/x, the sum over k is a
-Horner polynomial in inv^2, x^-r is inv multiplied by itself r - 1 times
-(no pow), and the leading term is added last. The accuracy floor at an
-element is the size of its first omitted term, at most 3.6e-20 for every
-order 1..38 at x = SHIFT_THRESHOLD, so the result is good to float64
-rounding. Every order above 38 raises PrecisionUnreachable, since no term
-within _MAX_BERNOULLI is small enough.
-Bernoulli numbers come exactly from the integer tangent numbers.
+call would compute it. One min over the argument decides its checks and
+the shift: a nan element makes the min nan (InvalidInput), a min <= 0 is
+off the domain (NonPositiveArgument), and only a min below the threshold
+gathers the low elements, which are shifted in arrays of their own; an
+array wholly above it (as the lattice sums mostly pass) skips the shift.
+Then, with inv = 1/x, the sum over k is a Horner polynomial in inv^2, x^-r
+is inv multiplied by itself r - 1 times (no pow), and the leading term is
+added last. The accuracy floor at an element is the size of its first
+omitted term, at most 3.6e-20 for every order 1..38 at x = SHIFT_THRESHOLD,
+so the result is good to float64 rounding. Every order above 38 raises
+PrecisionUnreachable, since no term within _MAX_BERNOULLI is small enough.
+The coefficient table is built in ints from the integer tangent numbers,
+with no Bernoulli number or Fraction in between; bernoulli() derives the
+exact Bernoulli numbers from the same tangent numbers.
 
 The verify_* functions evaluate, at finite refinement m, the lattice-sum
 identities whose limits are the closed forms l X / (1 + l X) and
@@ -68,28 +72,32 @@ _CHUNK = 1 << 13
 _REST_TARGET = 1e-4
 
 
-def bernoulli(K: int) -> tuple[Fraction, ...]:
-    """B_2, B_4, ..., B_2K as exact rationals, from the tangent numbers T_k.
-
-    The T_k come from an integer-only recurrence (Brent and Harvey, "Fast
-    computation of Bernoulli, tangent and secant numbers", 2011), and
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)). K is read by
-    ideals._integers; the recurrence takes about K^3 steps on ever larger
-    integers, so K above _MAX_BERNOULLI raises EstimateTooLarge.
-    """
-    (K,) = _integers((K,), "K")
-    if K < 1:
-        raise InvalidInput("need at least one Bernoulli number")
-    if K > _MAX_BERNOULLI:
-        raise EstimateTooLarge(f"asked for {K} Bernoulli numbers, above {_MAX_BERNOULLI}")
+def _tangent_numbers(K: int) -> list[int]:
+    """T_1, ..., T_K, from the integer-only recurrence of Brent and Harvey
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2011)."""
     tangent = [0, 1] + [0] * (K - 1)
     for k in range(2, K + 1):
         tangent[k] = (k - 1) * tangent[k - 1]
     for k in range(2, K + 1):
         for j in range(k, K + 1):
             tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
-    return tuple(Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4 ** k * (4 ** k - 1))
-                 for k in range(1, K + 1))
+    return tangent[1:]
+
+
+def bernoulli(K: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_2K as exact rationals, from the tangent numbers T_k:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+    K is read by ideals._integers; the recurrence takes about K^3 steps on
+    ever larger integers, so K above _MAX_BERNOULLI raises EstimateTooLarge.
+    """
+    (K,) = _integers((K,), "K")
+    if K < 1:
+        raise InvalidInput("need at least one Bernoulli number")
+    if K > _MAX_BERNOULLI:
+        raise EstimateTooLarge(f"asked for {K} Bernoulli numbers, above {_MAX_BERNOULLI}")
+    return tuple(Fraction((-1) ** (k - 1) * 2 * k * t, 4 ** k * (4 ** k - 1))
+                 for k, t in enumerate(_tangent_numbers(K), start=1))
 
 
 @lru_cache(maxsize=None)
@@ -98,15 +106,18 @@ def _horner_coefficients(r: int) -> tuple[float, ...]:
 
     c_k = B_2k (r+2k-1)!/(2k)! multiplies x^(-r-2k) in the expansion; K is
     the first k whose term at SHIFT_THRESHOLD is below 2^-60 of the leading
-    term (r-1)!/x^r, so term K is the first one omitted.
+    term (r-1)!/x^r, so term K is the first one omitted. With B_2k written
+    through T_k, c_k is the int ratio num/den below, unreduced: int true
+    division rounds correctly and the stop test is homogeneous in (num, den),
+    so neither needs the ratio in lowest terms.
     """
     # |c_k| x^-2k < 2^-60 (r-1)! at x = SHIFT_THRESHOLD, in integers
     x2 = int(SHIFT_THRESHOLD) ** 2
     for size in (16, _MAX_BERNOULLI):
         coeffs = []
-        for k, b in enumerate(bernoulli(size), start=1):
-            num = b.numerator * math.factorial(r + 2 * k - 1)
-            den = b.denominator * math.factorial(2 * k)
+        for k, t in enumerate(_tangent_numbers(size), start=1):
+            num = (-1) ** (k - 1) * 2 * k * t * math.factorial(r + 2 * k - 1)
+            den = 4 ** k * (4 ** k - 1) * math.factorial(2 * k)
             if abs(num) << 60 < math.factorial(r - 1) * x2 ** k * den:
                 return tuple(reversed(coeffs))
             coeffs.append(num / den)
@@ -148,18 +159,20 @@ def polygamma(r: int, x):
         arr = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise InvalidInput("polygamma argument is not an array of real numbers") from None
-    scalar = arr.ndim == 0
-    shifted = np.atleast_1d(arr).astype(np.float64)  # a copy the kernel works in
-    if np.any(np.isnan(shifted)):
+    shifted = arr.reshape(-1).astype(np.float64)  # a flat copy the kernel works in
+    # one pass for the checks and the shift test: the min is nan when any
+    # element is, and an empty array has nothing to check or shift
+    least = float(shifted.min()) if shifted.size else math.inf
+    if math.isnan(least):
         raise InvalidInput("polygamma argument is nan")
-    if np.any(shifted <= 0):
+    if least <= 0:
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
 
     rsign = (-1.0) ** (r + 1)  # psi_r(x) - psi_r(x+1) = (-1)^(r+1) r! / x^(r+1)
     rfact = float(math.factorial(r))
-    # the shift, on the elements below the threshold alone
-    low = np.flatnonzero(shifted < SHIFT_THRESHOLD)
-    if low.size:
+    low = None
+    if least < SHIFT_THRESHOLD:  # the shift, on the elements below the threshold alone
+        low = np.flatnonzero(shifted < SHIFT_THRESHOLD)
         part = shifted[low]
         correction = np.zeros_like(part)
         comp = np.zeros_like(part)  # Kahan carry for the shift sum
@@ -184,8 +197,8 @@ def polygamma(r: int, x):
     # expression gives.
     inv = 1.0 / shifted
     inv2 = inv * inv
-    horner = np.zeros_like(inv)
-    for c in coeffs:
+    horner = np.full_like(inv, coeffs[0])  # 0 * inv2 + c_{K-1}, exactly
+    for c in coeffs[1:]:
         horner *= inv2
         horner += c
     horner *= inv
@@ -199,9 +212,9 @@ def polygamma(r: int, x):
     inv *= horner
     power *= rsign * float(math.factorial(r - 1))
     inv += power
-    if low.size:
+    if low is not None:
         inv[low] += correction
-    return float(inv[0]) if scalar else inv
+    return float(inv[0]) if arr.ndim == 0 else inv.reshape(arr.shape)
 
 
 def polygamma_extended(r: int, x: float) -> float:

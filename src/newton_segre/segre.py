@@ -23,8 +23,11 @@ Summing the expansions over a cone decomposition of the region gives the
 multivariate class; substituting every X_i by the hyperplane class H and
 truncating above the ambient dimension gives the pushforward.
 
-Values at a positive point sum the closed forms in exact rationals, and are
-converted to float once, at return, when some coordinate was a float.
+Values at a positive point are exact. With X = lx / L over the least common
+denominator L, each closed form is the int pair (jacobian * L * prod_{i not
+in K} lx_i, prod_k (L + v_k . lx)); the pairs are summed unreduced, pairwise
+in a balanced tree, and reduced once, or, when some coordinate was a float,
+divided once into the float the exact value rounds to.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .decompose import GeneralizedSimplex, cone_decomposition
 from .errors import AmbientTooSmall, EstimateTooLarge, InvalidInput, NonPositiveParameter
@@ -80,20 +83,34 @@ def _exact_point(point: Sequence) -> tuple[list[Fraction], bool]:
     return xs, inexact
 
 
+def _common_denominator(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L, the least common denominator of xs, and the ints lx = L * xs."""
+    L = math.lcm(*(x.denominator for x in xs))
+    return L, [x.numerator * (L // x.denominator) for x in xs]
+
+
+def _piece_pair(piece: GeneralizedSimplex, L: int, lx: Sequence[int]) -> tuple[int, int]:
+    """The piece's closed form at X = lx/L as an unreduced int pair (num, den).
+
+    With p + 1 = n - |K| + 1 finite vertices (make_piece checks it), the
+    powers of L cancel to one: num = jacobian * L * prod_{i not in K} lx_i,
+    den = prod_k (L + v_k . lx).
+    """
+    if len(lx) != piece.n:
+        raise InvalidInput(f"a point with {len(lx)} coordinates for a piece in "
+                           f"{piece.n} variables")
+    num = piece.jacobian * L * math.prod(x for axis, x in enumerate(lx)
+                                         if axis not in piece.ray_axes)
+    den = math.prod(L + sum(v * x for v, x in zip(vertex, lx))
+                    for vertex in piece.finite_vertices)
+    return num, den
+
+
 def piece_value(piece: GeneralizedSimplex, point: Sequence):
     """Closed-form value of the piece integral at a positive point, exact; a
     float when some coordinate of the point is a float."""
     xs, inexact = _exact_point(point)
-    if len(xs) != piece.n:
-        raise InvalidInput(f"point {tuple(point)} has {len(xs)} coordinates, "
-                           f"the piece {piece.n}")
-    value = Fraction(piece.jacobian)
-    for axis in range(piece.n):
-        if axis not in piece.ray_axes:
-            value *= xs[axis]
-    for vertex in piece.finite_vertices:
-        value /= 1 + sum(v * x for v, x in zip(vertex, xs))
-    return float(value) if inexact else value
+    return _rational(*_piece_pair(piece, *_common_denominator(xs)), inexact)
 
 
 def segre_class(ideal: MonomialIdeal, ambient_dim: int) -> SegreClassResult:
@@ -135,6 +152,26 @@ def evaluate(target: SegreClassResult | Sequence[GeneralizedSimplex], point: Seq
     SegreClassResult's pieces, or a list of pieces). Exact; a float,
     converted once from the exact sum, when some coordinate is a float."""
     xs, inexact = _exact_point(point)
+    L, lx = _common_denominator(xs)
     pieces = target.pieces if isinstance(target, SegreClassResult) else target
-    total = sum((piece_value(piece, xs) for piece in pieces), Fraction(0))
-    return float(total) if inexact else total
+    return _rational(*_pair_sum(_piece_pair(piece, L, lx) for piece in pieces), inexact)
+
+
+def _pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of num/den over int pairs as one unreduced pair, added in a
+    balanced tree: each addition takes operands of about equal size, so the
+    cost is a few products of the result's size, not quadratic in the number
+    of pairs as a left fold is."""
+    level = list(pairs)
+    while len(level) > 1:
+        odd = level[-1:] if len(level) % 2 else []
+        level = [(a * d + c * b, b * d)
+                 for (a, b), (c, d) in zip(level[::2], level[1::2])] + odd
+    return level[0] if level else (0, 1)
+
+
+def _rational(num: int, den: int, inexact: bool):
+    """num/den as a reduced Fraction or, when inexact, as the float it rounds
+    to: int true division rounds correctly, so that is float(Fraction(num,
+    den)) without the reduction's gcd."""
+    return num / den if inexact else Fraction(num, den)

@@ -326,6 +326,10 @@ def test_estimate_requires_m(capsys):
     (["lct", '{"n": 0, "generators": [[1]]}'], "DimensionMismatch"),
     # --m-list increases strictly: a repeated m would print the same row twice
     (["estimate", "x1^2", "--m-list", "3,3", "--X", "1"], "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2", "--m-list", "5,5"],
+     "InvalidInput"),
+    (["verify", "--identity", "power", "--params", "l=2,X=1/2", "--m-list", "10,5"],
+     "InvalidInput"),
 ])
 def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
     argv, error = args

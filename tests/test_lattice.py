@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -13,7 +14,8 @@ from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
                           InternalInconsistency, InvalidInput, NonPositiveParameter,
                           convergence_report, estimate, evaluate, kernel_term, make_ideal,
                           mode_agreement_report, segre_class)
-from newton_segre.lattice import LCT_BASED, MEMBERSHIP, _column_tops, _int_facets
+from newton_segre.lattice import (LCT_BASED, MEMBERSHIP, _column_tops, _facet_top,
+                                  _int_facets, _kernel_sum)
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
 from tests.conftest import random_ideal
 
@@ -340,10 +342,40 @@ def test_column_tops_match_point_tests():
                                grids[0].shape)
         for index, top in np.ndenumerate(tops):
             rest = [int(g[index]) for g in grids]
+            assert _facet_top(facets, m, n - 1, rest + [None], lo, hi) == top
             for ak in range(lo, hi + 1):
                 expected = in_newton_region(poly, [F(a, m) for a in rest + [ak]])
                 assert (ak <= top) == expected
             assert lo - 1 <= top <= hi
+
+
+def oracle_kernel_sum(counts, m, xs, L) -> F:
+    """The exact kernel sum with one Fraction addition per denominator, in
+    the order of counts: a left fold."""
+    n = len(xs)
+    total = F(0)
+    for k, c in counts.items():
+        total += F(c, k ** (n + 1))
+    return m * math.factorial(n) * math.prod(xs) * F(L) ** (n + 1) * total
+
+
+@given(st.dictionaries(st.integers(1, 10 ** 9), st.integers(1, 5), max_size=60),
+       st.lists(st.fractions(F(1, 50), 50, max_denominator=50), min_size=1, max_size=3),
+       st.integers(1, 40))
+def test_kernel_sum_matches_left_fold(counts, xs, m):
+    """The pairwise sum is the left fold's rational, reduced or as its float."""
+    L = math.lcm(*(x.denominator for x in xs))
+    expected = oracle_kernel_sum(counts, m, xs, L)
+    num, den = _kernel_sum(counts, m, xs, L)
+    assert F(num, den) == expected
+    assert num / den == float(expected)
+
+
+def test_kernel_sum_small_cases():
+    xs, L = (F(1, 2), F(1, 3)), 6
+    assert _kernel_sum({}, 5, xs, L)[0] == 0
+    for counts in ({17: 1}, {17: 4}, {17: 2, 19: 3, 23: 2}):
+        assert F(*_kernel_sum(counts, 5, xs, L)) == oracle_kernel_sum(counts, 5, xs, L)
 
 
 def test_mode_agreement_two_vars():

@@ -9,12 +9,12 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newton_segre import (CutoffTooSmall, NonPositiveArgument,
+from newton_segre import (CutoffTooSmall, InvalidInput, NonPositiveArgument,
                           PrecisionUnreachable, bernoulli, polygamma,
                           polygamma_extended, sum_inverse_cubes,
                           verify_diagonal_identity, verify_power_identity,
                           verify_two_variable_identity)
-from newton_segre.polygamma import SHIFT_THRESHOLD
+from newton_segre.polygamma import SHIFT_THRESHOLD, _horner_coefficients
 
 
 def direct_series(r: int, x: float, terms: int = 10 ** 7) -> float:
@@ -104,6 +104,56 @@ def test_domain_and_precision_errors():
         polygamma(2, -3.0)
     with pytest.raises(PrecisionUnreachable):
         polygamma(39, 1.0)
+
+
+def oracle_horner_coefficients(r: int) -> tuple[float, ...]:
+    """The expansion table built from exact Bernoulli numbers: c_k = B_2k
+    (r+2k-1)!/(2k)! for k below the first K whose term at SHIFT_THRESHOLD is
+    under 2^-60 of the leading term, as float ratios of Fraction parts."""
+    x2 = int(SHIFT_THRESHOLD) ** 2
+    for size in (16, 60):
+        coeffs = []
+        for k, b in enumerate(bernoulli(size), start=1):
+            num = b.numerator * math.factorial(r + 2 * k - 1)
+            den = b.denominator * math.factorial(2 * k)
+            if abs(num) << 60 < math.factorial(r - 1) * x2 ** k * den:
+                return tuple(reversed(coeffs))
+            coeffs.append(num / den)
+    raise PrecisionUnreachable(f"order {r}")
+
+
+def test_horner_table_matches_bernoulli_oracle():
+    """The integer table is the Fraction one, float for float and length for
+    length, at every order the kernel serves; both refuse order 39."""
+    for r in range(1, 39):
+        assert _horner_coefficients(r) == oracle_horner_coefficients(r)
+    for table in (_horner_coefficients, oracle_horner_coefficients):
+        with pytest.raises(PrecisionUnreachable):
+            table(39)
+
+
+def test_polygamma_shapes_and_edge_values():
+    """The types, shapes and edge values the kernel returns at r = 2."""
+    empty = polygamma(2, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.dtype == np.float64 and empty.shape == (0,)
+    assert type(polygamma(2, np.array(3.0))) is float
+    for seq in ([3.0, 30.0], (3.0, 30.0)):
+        values = polygamma(2, seq)
+        assert isinstance(values, np.ndarray)
+        assert values.tobytes() == polygamma(2, np.array(seq)).tobytes()
+    # a 2-D argument keeps its shape, shifted elements included
+    grid = np.array([[0.5, 30.0, 2.0], [400.0, 7.0, 25.0]])
+    values = polygamma(2, grid)
+    assert values.shape == grid.shape
+    assert values.tobytes() == polygamma(2, grid.ravel()).tobytes()
+    at_inf = polygamma(2, np.array([np.inf]))[0]
+    assert at_inf == 0.0 and math.copysign(1.0, at_inf) == -1.0
+    huge = polygamma(2, 1e300)
+    assert huge == 0.0 and math.copysign(1.0, huge) == -1.0
+    with pytest.raises(InvalidInput):
+        polygamma(2, [math.nan, -1.0])  # nan is reported before the sign
+    with pytest.raises(NonPositiveArgument):
+        polygamma(2, [-math.inf, 5.0])
 
 
 @pytest.mark.parametrize("r", range(1, 7))

@@ -3,11 +3,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newton_segre import (AmbientTooSmall, InvalidInput, NonPositiveParameter,
                           TruncatedSeries, cone_decomposition, evaluate,
                           integrate_piece, make_ideal, make_piece,
                           newton_polyhedron, segre_class)
+from newton_segre.segre import piece_value
 from tests.conftest import random_ideal
 
 
@@ -90,7 +93,6 @@ def test_region_and_polyhedron_partition_unity():
     the same closed form, checked at rational parameters."""
     from newton_segre.cones import pull_triangulation
     from newton_segre.polyhedron import newton_polyhedron
-    from newton_segre.segre import piece_value
 
     cases = [
         (2, [(3, 0), (0, 2)]),
@@ -154,6 +156,51 @@ def test_float_point_is_read_exactly():
     for bad in (math.inf, math.nan, "1"):
         with pytest.raises(InvalidInput):
             evaluate(result, [F(1), bad])
+
+
+def oracle_piece_value(piece, X) -> F:
+    """jacobian * prod_{i not in K} X_i / prod_k (1 + v_k . X), in Fractions."""
+    value = F(piece.jacobian)
+    for axis in range(piece.n):
+        if axis not in piece.ray_axes:
+            value *= X[axis]
+    for vertex in piece.finite_vertices:
+        value /= 1 + sum(v * x for v, x in zip(vertex, X))
+    return value
+
+
+@st.composite
+def _pieces_and_points(draw):
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), min_size=1, max_size=5))
+    pieces = cone_decomposition(newton_polyhedron(
+        make_ideal(n, [g for g in gens if any(g)] or [(1,) * n])))
+    rationals = draw(st.lists(st.fractions(F(1, 10 ** 4), 10 ** 4, max_denominator=10 ** 4),
+                              min_size=n, max_size=n))
+    floats = draw(st.lists(st.floats(1e-300, 1e300), min_size=n, max_size=n))
+    return pieces, rationals, floats
+
+
+@given(_pieces_and_points())
+def test_values_match_per_piece_fraction_oracle(case):
+    """evaluate and piece_value are the per-piece Fraction closed forms, summed
+    exactly: equal at rational X, and the float of the exact value at float X."""
+    pieces, rationals, floats = case
+    stored = [F(x) for x in floats]  # the rationals the floats store
+    for piece in pieces:
+        assert piece_value(piece, rationals) == oracle_piece_value(piece, rationals)
+        value = piece_value(piece, floats)
+        assert type(value) is float and value == float(oracle_piece_value(piece, stored))
+    assert evaluate(pieces, rationals) == sum(
+        (oracle_piece_value(piece, rationals) for piece in pieces), F(0))
+    value = evaluate(pieces, floats)
+    assert type(value) is float
+    assert value == float(sum((oracle_piece_value(piece, stored) for piece in pieces), F(0)))
+    for wrong in (rationals + [F(1)], floats[1:]):
+        with pytest.raises(InvalidInput):
+            piece_value(pieces[0], wrong)
+        with pytest.raises(InvalidInput):
+            evaluate(pieces, wrong)
 
 
 def test_ambient_too_small():
