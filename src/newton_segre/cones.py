@@ -11,7 +11,8 @@ Faces are ints: bit i is set iff generator i lies on the face. When every
 generator spans its own extreme ray, every face is an intersection of
 facets, and the facets of a face F are the inclusion-maximal proper cuts
 F & w with the cone's facets w (De Loera, Rambau, Santos, *Triangulations*,
-2010, ch. 4). pull_triangulation needs no geometry: it cones from the lowest
+2010, ch. 4), kept greedily by descending bit count rather than by
+comparing every pair of cuts. pull_triangulation needs no geometry: it cones from the lowest
 generator of a face over the triangulated facets of the face that do not
 contain it, and a face of one generator is a leaf. This "pulling"
 triangulation is insensitive to degenerate vertex configurations (e.g. four
@@ -83,15 +84,22 @@ def pull_triangulation(face: int, walls: Sequence[int]) -> list[list[int]]:
     the faces of face. Returns index lists; each list is linearly
     independent and the subcones cover the face with pairwise disjoint
     interiors. The lowest bit of each face is its pulling pivot, so an
-    order-preserving renumbering renumbers the pieces only.
+    order-preserving renumbering renumbers the pieces only. The facets of a
+    face are its maximal cuts, kept greedily by descending bit count and
+    then ordered by their generator lists.
     """
     if face & (face - 1) == 0:
         return [[face.bit_length() - 1]]
     cuts = {face & wall for wall in walls} - {face}
-    # the maximal cuts, ordered by their generator lists, not by value: the
-    # order of the pieces follows this one
-    facets = sorted((c for c in cuts if not any(c != d and c & d == c for d in cuts)),
-                    key=lambda f: [i for i in range(f.bit_length()) if f >> i & 1])
+    # the maximal cuts, greedily: a cut is visited after every cut with more
+    # generators, so it is maximal iff no cut kept before it contains it
+    facets: list[int] = []
+    for cut in sorted(cuts, key=int.bit_count, reverse=True):
+        if not any(cut & kept == cut for kept in facets):
+            facets.append(cut)
+    # ordered by their generator lists, not by value: the order of the
+    # pieces follows this one
+    facets.sort(key=lambda f: [i for i in range(f.bit_length()) if f >> i & 1])
     pivot = (face & -face).bit_length() - 1
     # F & w == F & (face & w) for a face F of face: the cuts are its walls
     return [tau + [pivot]

@@ -23,7 +23,12 @@ vertices as ints and refuses a non-integral one, so jacobians are int
 determinants and piece_membership decides a rational point on the integer
 elimination after scaling it by its common denominator, as read by
 ideals._rationals. make_piece also refuses vertices of unequal length, none
-or negative ones, and ray axes that repeat or leave 0..n-1.
+or negative ones, and ray axes that repeat or leave 0..n-1. It checks
+caller input only: cone_decomposition reads its vertices from the
+polyhedron's checked int extreme points and its ray axes from the wall
+bits, and the triangulation's index lists are linearly independent, so it
+builds each piece through the same private constructor, _piece, which
+only computes the jacobian.
 """
 
 from __future__ import annotations
@@ -98,11 +103,21 @@ def make_piece(finite_vertices: Sequence[Sequence[Rational]],
         raise InvalidInput(f"ray axes {axes} must be distinct axes in 0..{n - 1}")
     if len(vertices) - 1 + len(rays) != n:
         raise InvalidInput("piece needs p+1 vertices and q rays with p+q = n")
-    piece = GeneralizedSimplex(vertices, rays, 0)
-    jac = abs(det(piece.coordinate_matrix()))
-    if jac == 0:
+    piece = _piece(vertices, rays)
+    if piece.jacobian == 0:
         raise DegenerateFacet(f"zero jacobian for vertices {vertices}, rays {sorted(rays)}")
-    return GeneralizedSimplex(vertices, rays, jac)
+    return piece
+
+
+def _piece(vertices: tuple[tuple[int, ...], ...], rays: frozenset[int]) -> GeneralizedSimplex:
+    """The piece on int vertices and ray axes already known to fit together,
+    with its jacobian. Expanding the determinant of the coordinate matrix
+    along its unit columns e_k leaves, up to sign, the p x p minor of the
+    edge vectors v_i - v_0 on the axes that are not rays."""
+    v0 = vertices[0]
+    minor = [[v[axis] - v0[axis] for v in vertices[1:]]
+             for axis in range(len(v0)) if axis not in rays]
+    return GeneralizedSimplex(vertices, rays, abs(det(minor)))
 
 
 def cone_decomposition(poly: NewtonPolyhedron,
@@ -135,8 +150,8 @@ def cone_decomposition(poly: NewtonPolyhedron,
     for facet, wall in zip(poly.facets, walls):
         if facet.is_diagram:
             for idx in pull_triangulation(wall, walls):
-                pieces.append(make_piece([origin] + [vertices[i] for i in idx if i < k],
-                                         [i - k for i in idx if i >= k]))
+                pieces.append(_piece((origin, *(vertices[i] for i in idx if i < k)),
+                                     frozenset(i - k for i in idx if i >= k)))
     return pieces
 
 

@@ -17,9 +17,13 @@ all later terms are dropped (K = 7..11 for r = 1..8). Because K depends on
 r only, every element of an array argument is computed exactly as a scalar
 call would compute it. One min over the argument decides its checks and
 the shift: a nan element makes the min nan (InvalidInput), a min <= 0 is
-off the domain (NonPositiveArgument), and only a min below the threshold
-gathers the low elements, which are shifted in arrays of their own; an
-array wholly above it (as the lattice sums mostly pass) skips the shift.
+off the domain (NonPositiveArgument), a min whose shift term r!/x^(r+1) is
+not a finite float64 is refused too (InvalidInput, decided exactly in ints,
+where the shift sum would compute inf - inf), and only a min below the
+threshold gathers the low elements. They are sorted once and shifted in
+arrays of their own, each step on the shrinking prefix still below the
+threshold; an array wholly above it (as the lattice sums mostly pass) skips
+the shift.
 Then, with inv = 1/x, the sum over k is a Horner polynomial in inv^2, x^-r
 is inv multiplied by itself r - 1 times (no pow), and the leading term is
 added last. The accuracy floor at an element is the size of its first
@@ -126,6 +130,19 @@ def _horner_coefficients(r: int) -> tuple[float, ...]:
         f"relative accuracy within {_MAX_BERNOULLI} terms")
 
 
+# The smallest real that rounds to inf in float64, 2^1024 - 2^970: the
+# midpoint between the largest float and 2^1024 rounds to even, upward.
+_FLOAT_OVERFLOW = 2 ** 1024 - 2 ** 970
+
+
+def _shift_term_overflows(r: int, x: float) -> bool:
+    """Whether r!/x^(r+1), the shift's first and largest term, is not a
+    finite float64, decided exactly in ints: with x = num/den,
+    r! den^(r+1) / num^(r+1) >= _FLOAT_OVERFLOW."""
+    num, den = x.as_integer_ratio()
+    return math.factorial(r) * den ** (r + 1) >= _FLOAT_OVERFLOW * num ** (r + 1)
+
+
 def _order(r: int) -> int:
     """r read by ideals._integers; InvalidInput unless it is at least 1."""
     (r,) = _integers((r,), "polygamma order")
@@ -148,8 +165,9 @@ def polygamma(r: int, x):
 
     An ndarray, list or tuple is read by numpy as a whole, any other x by
     _floats. Raises InvalidInput for an order that is not an integer >= 1,
-    an x its reader refuses or a nan element, NonPositiveArgument off the
-    domain and PrecisionUnreachable for orders above 38.
+    an x its reader refuses, a nan element or one so small that r!/x^(r+1)
+    is beyond float64, NonPositiveArgument off the domain and
+    PrecisionUnreachable for orders above 38.
     """
     import numpy as np
     r = _order(r)
@@ -167,25 +185,33 @@ def polygamma(r: int, x):
         raise InvalidInput("polygamma argument is nan")
     if least <= 0:
         raise NonPositiveArgument("polygamma implemented for positive arguments only")
+    if least < 1.0 and _shift_term_overflows(r, least):
+        raise InvalidInput(f"polygamma order {r} at {least!r}: the shift term "
+                           f"r!/x^(r+1), and psi_r(x) with it, lies beyond the float64 range")
 
     rsign = (-1.0) ** (r + 1)  # psi_r(x) - psi_r(x+1) = (-1)^(r+1) r! / x^(r+1)
     rfact = float(math.factorial(r))
     low = None
     if least < SHIFT_THRESHOLD:  # the shift, on the elements below the threshold alone
+        # sorted once: adding 1.0 is monotone, so the elements still below
+        # the threshold after any number of steps are a prefix of this order
         low = np.flatnonzero(shifted < SHIFT_THRESHOLD)
+        low = low[np.argsort(shifted[low], kind="stable")]
         part = shifted[low]
         correction = np.zeros_like(part)
         comp = np.zeros_like(part)  # Kahan carry for the shift sum
+        count = part.size
         while True:
-            below = part < SHIFT_THRESHOLD
-            if not np.any(below):
+            count = int(np.searchsorted(part[:count], SHIFT_THRESHOLD))
+            if not count:
                 break
-            term = rsign * rfact / part[below] ** (r + 1)
-            y = term - comp[below]
-            t = correction[below] + y
-            comp[below] = (t - correction[below]) - y
-            correction[below] = t
-            part[below] += 1.0
+            head = part[:count]
+            term = rsign * rfact / head ** (r + 1)
+            y = term - comp[:count]
+            t = correction[:count] + y
+            comp[:count] = (t - correction[:count]) - y
+            correction[:count] = t
+            head += 1.0
         shifted[low] = part
 
     coeffs = _horner_coefficients(r)

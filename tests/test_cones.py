@@ -9,6 +9,7 @@ alone. Both must give the same pieces in the same order.
 
 import sys
 from itertools import combinations
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,44 @@ def ideals_and_orders(draw):
 def test_triangulation_matches_geometric_oracle(case):
     poly, order = case
     assert cone_decomposition(poly, order) == _oracle_decomposition(poly, order)
+
+
+def _pairwise_pull_triangulation(face, walls):
+    """pull_triangulation with the maximality filter it had before the
+    greedy one: a cut is kept unless some other cut contains it, a test of
+    every pair of cuts."""
+    if face & (face - 1) == 0:
+        return [[face.bit_length() - 1]]
+    cuts = {face & wall for wall in walls} - {face}
+    facets = sorted((c for c in cuts if not any(c != d and c & d == c for d in cuts)),
+                    key=lambda f: [i for i in range(f.bit_length()) if f >> i & 1])
+    pivot = (face & -face).bit_length() - 1
+    return [tau + [pivot]
+            for facet in facets if not facet >> pivot & 1
+            for tau in _pairwise_pull_triangulation(facet, cuts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals_and_orders())
+def test_greedy_maximal_cuts_match_the_pairwise_filter(case):
+    """The same pieces in the same order, in the default and the reversed
+    vertex order."""
+    poly, _order = case
+    decompose = sys.modules["newton_segre.decompose"]
+    for order in (None, sorted(poly.extreme_points, reverse=True)):
+        greedy = cone_decomposition(poly, order)
+        with mock.patch.object(decompose, "pull_triangulation", _pairwise_pull_triangulation):
+            assert greedy == cone_decomposition(poly, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideals_and_orders())
+def test_decomposition_pieces_are_the_checked_pieces(case):
+    """cone_decomposition builds its pieces without make_piece's checks;
+    make_piece on the same vertices and rays gives the same pieces."""
+    poly, order = case
+    for piece in cone_decomposition(poly, order):
+        assert make_piece(piece.finite_vertices, sorted(piece.ray_axes)) == piece
 
 
 def test_n6_triangulation_matches_geometric_oracle():

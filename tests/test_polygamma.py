@@ -1,4 +1,5 @@
 import math
+import struct
 import warnings
 from fractions import Fraction as F
 
@@ -104,6 +105,41 @@ def test_domain_and_precision_errors():
         polygamma(2, -3.0)
     with pytest.raises(PrecisionUnreachable):
         polygamma(39, 1.0)
+
+
+@pytest.mark.parametrize("call", [lambda: polygamma(2, 1e-300),
+                                  lambda: polygamma(1, 1e-200),
+                                  lambda: polygamma(2, [5.0, 1e-300]),
+                                  lambda: sum_inverse_cubes(0, 5, 1e-200)])
+def test_overflowing_shift_term_is_refused(call):
+    """Where r!/x^(r+1) is beyond float64 the Kahan shift sum computed
+    inf - inf and returned nan; such an argument is refused instead."""
+    with pytest.raises(InvalidInput, match="float64 range"):
+        call()
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 38])
+def test_overflow_refusal_is_exactly_the_overflowing_arguments(r):
+    """At the largest refused float x0, r!/x0^(r+1) rounds to inf in exact
+    arithmetic, and at the next float up it does not; the value there is a
+    finite float."""
+    limit = 2 ** 1024 - 2 ** 970  # the smallest real that rounds to inf
+
+    def as_float(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    # bisect on the bit patterns of positive floats, which order like the floats
+    lo, hi = 1, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.factorial(r) / F(as_float(mid)) ** (r + 1) >= limit:
+            lo = mid
+        else:
+            hi = mid
+    x, up = as_float(lo), as_float(hi)
+    with pytest.raises(InvalidInput):
+        polygamma(r, x)
+    assert math.isfinite(polygamma(r, up))
 
 
 def oracle_horner_coefficients(r: int) -> tuple[float, ...]:

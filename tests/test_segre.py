@@ -1,17 +1,20 @@
 import math
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newton_segre import (AmbientTooSmall, InvalidInput, NonPositiveParameter,
-                          TruncatedSeries, cone_decomposition, evaluate,
-                          integrate_piece, make_ideal, make_piece,
+from newton_segre import (AmbientTooSmall, InternalInconsistency, InvalidInput,
+                          NonPositiveParameter, TruncatedSeries, cone_decomposition,
+                          evaluate, integrate_piece, make_ideal, make_piece,
                           newton_polyhedron, segre_class)
 from newton_segre.segre import piece_value
 from tests.conftest import random_ideal
+
+segre_module = sys.modules["newton_segre.segre"]
 
 
 def divisor_pushforward(d: int, top: int) -> tuple:
@@ -222,19 +225,20 @@ def test_smallest_ambient(n, gens, pushforward, terms):
     assert result.multivariate.terms() == terms
 
 
-@pytest.mark.parametrize("n, gens, built", [
-    (2, [(2, 0), (1, 1), (0, 3)], 3),
-    (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 2),
+@pytest.mark.parametrize("n, gens", [
+    (2, [(2, 0), (1, 1), (0, 3)]),
+    (3, [(2, 0, 1), (0, 3, 0), (1, 1, 1)]),
 ])
-def test_segre_class_types_one_series_per_piece(monkeypatch, n, gens, built):
-    """Each piece is expanded on a plain dict and typed once, and the sum
-    once: pieces + 1 series, none per division."""
+def test_segre_class_types_one_series(monkeypatch, n, gens):
+    """Every piece is added into one dense coefficient list, and the class
+    is typed once: one series per class, none per piece or division."""
     calls = []
     init = TruncatedSeries.__init__
     monkeypatch.setattr(TruncatedSeries, "__init__",
                         lambda self, *args: calls.append(args) or init(self, *args))
     result = segre_class(make_ideal(n, gens), ambient_dim=n)
-    assert len(calls) == len(result.pieces) + 1 == built
+    assert len(result.pieces) > 1
+    assert len(calls) == 1
 
 
 def test_constant_term_always_zero(rng):
@@ -279,3 +283,80 @@ def test_random_n5_ideal_pinned():
     for piece in cone_decomposition(poly, vertex_order=order):
         reordered = reordered + integrate_piece(piece, 5, 5)
     assert reordered == result.multivariate
+
+
+def division_oracle(piece, bound: int) -> TruncatedSeries:
+    """jacobian * prod_{i not in K} X_i divided by each 1 + v_k . X in turn
+    as full series to degree bound, with no graded index of its own."""
+    n = piece.n
+    units = [tuple(int(i == axis) for i in range(n)) for axis in range(n)]
+    start = tuple(int(axis not in piece.ray_axes) for axis in range(n))
+    series = TruncatedSeries(n, bound, {start: piece.jacobian})
+    for vertex in piece.finite_vertices:
+        linear = {(0,) * n: 1, **{u: v for u, v in zip(units, vertex) if v}}
+        series = series / TruncatedSeries(n, bound, linear)
+    return series
+
+
+@st.composite
+def ideals_with_rays(draw):
+    """A random ideal in 2-4 variables that leaves out the last one, so that
+    every piece of its decomposition has that axis as a ray."""
+    n = draw(st.integers(2, 4))
+    exponent = st.integers(0, 4)
+    gens = draw(st.lists(st.tuples(*[exponent] * (n - 1), st.just(0)), min_size=1, max_size=5))
+    return make_ideal(n, [g for g in gens if any(g)] or [(1,) * (n - 1) + (0,)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals_with_rays())
+def test_graded_expansion_matches_the_division_oracle(ideal):
+    """Each piece with rays, solved only to degree D - |e0| and shifted by
+    X^e0, equals the full division at ambient n - 1, n and n + 2, and the
+    class is their sum."""
+    n = ideal.n
+    pieces = cone_decomposition(newton_polyhedron(ideal))
+    assert all(n - 1 in piece.ray_axes for piece in pieces)
+    for bound in (n - 1, n, n + 2):
+        total = TruncatedSeries.zero(n, bound)
+        for piece in pieces:
+            expansion = integrate_piece(piece, n, bound)
+            assert expansion == division_oracle(piece, bound)
+            total = total + expansion
+        assert segre_class(ideal, bound).multivariate == total
+
+
+def _bumped_quotient(original):
+    def quotient(num, den, index):
+        q = original(num, den, index)
+        q[1] += 1
+        return q
+    return quotient
+
+
+def _bumped_sum(original):
+    def add_expansion(total, piece, index):
+        original(total, piece, index)
+        total[-1] += 1
+    return add_expansion
+
+
+def _bumped_image(original):
+    def add_image(image, piece):
+        original(image, piece)
+        image[-1] -= 1
+    return add_image
+
+
+@pytest.mark.parametrize("name, mutation", [("_quotient", _bumped_quotient),
+                                            ("_add_expansion", _bumped_sum),
+                                            ("_add_image", _bumped_image)])
+def test_pushforward_pair_catches_a_mutation(monkeypatch, name, mutation):
+    """The pieces' images under X_i -> H are summed apart from the
+    multivariate class: a changed quotient term, a changed coefficient sum
+    or a changed image each raise InternalInconsistency."""
+    ideal = make_ideal(3, [(2, 0, 1), (0, 3, 0), (1, 1, 1)])
+    assert segre_class(ideal, 3).pushforward
+    monkeypatch.setattr(segre_module, name, mutation(getattr(segre_module, name)))
+    with pytest.raises(InternalInconsistency):
+        segre_class(ideal, 3)

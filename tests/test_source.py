@@ -1,7 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+from collections import deque
 from pathlib import Path
+
+import pytest
 
 import newton_segre
 
@@ -35,4 +39,31 @@ def test_one_integer_reader():
                 continue
             if names & _INTEGER_READERS and path.name != "ideals.py":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _package_modules():
+    """Every module of the package by its short name, imported."""
+    return {path.stem: importlib.import_module(f"{newton_segre.__name__}.{path.stem}")
+            for path in sorted(SOURCE.glob("*.py")) if path.stem != "__init__"}
+
+
+def test_functools_caches_are_the_known_three():
+    """Each cache decides what a repeated input costs, and the benchmark
+    clears every one of them per job, so a new cache is a decision to make
+    on purpose, not one to slip in."""
+    found = {value.__name__ for module in _package_modules().values()
+             for value in vars(module).values()
+             if callable(getattr(value, "cache_info", None))}
+    assert found == {"newton_polyhedron", "lct", "_horner_coefficients"}
+
+
+@pytest.mark.parametrize("name", ["segre", "series", "decompose", "cones"])
+def test_segre_path_holds_no_module_level_container(name):
+    """The Segre path keeps its working state, such as the graded index, per
+    call: a module-level list, dict or set would outlive the call and the
+    cache clearing between jobs."""
+    module = _package_modules()[name]
+    found = [attr for attr, value in vars(module).items() if not attr.startswith("__")
+             and isinstance(value, (list, dict, set, bytearray, deque))]
     assert found == []
