@@ -10,9 +10,9 @@ whenever the region is bounded; the full-orthant sum tends to 1, so the two
 formulations agree in the m -> infinity limit and the finite-m difference is
 folded into the reported bias. Points on the diagram boundary are included
 (the region is a closure). Along axes where the region is unbounded the sum
-is truncated at a cutoff (default 10*m^2, far below the leading bias). With
-a tail_tolerance, every mode first bounds the part beyond the cutoff and
-raises CutoffTooSmall when the bound exceeds it.
+is truncated at a cutoff (default 10*m^2, far below the leading bias); a
+bounded axis runs to its bound. A tail_tolerance makes every mode first
+bound the part beyond the cutoff and raise CutoffTooSmall above it.
 
 The float64 path never enumerates points. Each axis i has a box limit L_i
 (its bound, or the cutoff) and a core threshold r_i, the largest a_i any
@@ -41,28 +41,27 @@ at the last a_s whose corner (every other axis at its start) is a member,
 so the walk stops at the first empty row, and each block of rows spans on
 every other axis only the extent its first row's corner reaches. These
 scalar cuts take the facet top of one column in Python ints (_facet_top,
-which the lct scan shares); whole blocks of columns take it in numpy
-(_column_tops). The region is down-closed, so no member falls outside
-these cuts. A
-block holds the rows that fit in about 2^13 columns (the polygamma
-module's private block size), or one row where a row is wider, and both
-ends of its nonempty columns go to one polygamma call. Under the
-MAX_COLUMNS cap a row holds at most 2^11 columns in 3-D and about 26,000
-in 4-D, so memory is bounded whatever m and the cutoff are, and MAX_COLUMNS
+which the exact walk and the lct scan share); whole blocks of columns take
+it in numpy (_column_tops). The region is down-closed, so no member falls
+outside these cuts. A block holds the rows that fit in about 2^13
+columns (the polygamma module's private block size), or one row where a
+row is wider, and both ends of its nonempty columns go to one polygamma
+call. Under the MAX_COLUMNS cap a row holds at most 2^11 columns in 3-D
+and about 26,000 in 4-D, so memory is bounded whatever m and the cutoff are, and MAX_COLUMNS
 bounds the time instead (2^22 columns take about 0.15 s on a 2-vCPU Xeon
 when every one is a member, as in a 2-D box). The result is the same
-truncated sum that exact mode enumerates, up to float rounding.
+truncated sum that exact mode adds up, up to float rounding.
 
-Exact mode enumerates the box literally: it is the oracle the column sums
-are tested against. It refuses up front (EstimateTooLarge) when its box
-holds more than MAX_COLUMNS points or its integer denominators would leave
-int64; both it and the float path read the polyhedron's int facets and
-refuse when c*m + w.a over the box, or a box coordinate plus one, would.
-Below that it enumerates the box in blocks of about 2^13 points split along
-its longest axis, so its memory grows only with the number of distinct
-denominators. Their terms count/k^(n+1) are added as unreduced int pairs in
-a balanced tree (segre._pair_sum), so the sum costs a few products of the
-result's size rather than time quadratic in the number of denominators.
+Exact mode walks the box in Python ints, column by column along its
+longest axis k (_columns), and bins each column's members a_k = 1..T, T its
+facet top, as one range: their denominators L*m + a.(L*X), L the common
+denominator of X, step by L*X_k (_column_sum). Their terms count/k^(n+1)
+are added as unreduced int pairs in a balanced tree (segre._pair_sum), a
+few products of the result's size rather than time quadratic in the number
+of denominators. It refuses up front (EstimateTooLarge) above MAX_COLUMNS
+box points (2^22 take about 0.25 s in 2-D on a 2-vCPU Xeon), or where its
+denominators, or the int facets' c*m + w.a over the box, would leave int64,
+as the float path does; the tests check the walk point by point (_member_mask).
 
 Two membership backends exist: "membership_based" evaluates the facet
 inequalities; "lct_based" compares m with prod(a) * lct(cross-stretched
@@ -71,9 +70,9 @@ grows, so each column along axis 0 meets the lct side in some [1, T]. One
 scan finds each T by the threshold-side test alone, probed first at the
 facet top t (in Python ints) and t + 1 and bisected only where t is not T,
 so the lct side stays an independent oracle. lct_based mode sums the kernel
-exactly over these columns, binned by denominator as in exact mode (in
-float64 mode the exact pair is divided once, never reduced), and
-raises InternalInconsistency where the sets differ at a point with every
+exactly over these columns with exact mode's _column_sum (in float64 mode
+the exact pair is divided once, never reduced), and raises
+InternalInconsistency where the sets differ at a point with every
 a_i > 1 (they may differ where some a_i = 1); mode_agreement_report counts
 both kinds. Neither needs int64. Both share one budget, MAX_LCT_POINTS:
 lct_based mode refuses a box with more points, and the report a scan with
@@ -85,12 +84,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-# numpy is imported inside the functions that use it, so the exact-geometry
-# commands (lct, segre, diagram) never load it (about 14 MiB and tens of ms).
+# numpy is imported inside the float path, its only user, so exact geometry
+# and the exact and lct estimates never load it (about 14 MiB, tens of ms).
 
 from .decompose import cone_decomposition
 from .errors import CutoffTooSmall, EstimateTooLarge, InternalInconsistency, InvalidInput
@@ -187,15 +187,17 @@ def _axis_limits(poly: NewtonPolyhedron, m: int,
     """Per axis i, the core threshold and the box limit of the region.
 
     core_i is the largest a_i that a diagram facet seeing axis i (w_i > 0)
-    admits, max c*m // w_i, capped at the cutoff. limit_i is core_i when
-    every diagram facet sees axis i, so the region is bounded along it, and
-    the cutoff otherwise. Plain ints: no int64 limit applies.
+    admits, max c*m // w_i. Where every diagram facet sees axis i, the
+    region is bounded along it and limit_i is core_i, whatever the cutoff;
+    elsewhere limit_i is the cutoff and core_i is capped at it. Plain ints:
+    no int64 limit applies.
     """
     core, limits = [], []
     for i in range(poly.n):
-        core.append(min(max((f.offset * m // f.normal[i] for f in poly.diagram_facets
-                             if f.normal[i] > 0), default=0), cutoff))
-        limits.append(core[i] if all(f.normal[i] for f in poly.diagram_facets) else cutoff)
+        reach = max((f.offset * m // f.normal[i] for f in poly.diagram_facets
+                     if f.normal[i] > 0), default=0)
+        limits.append(reach if all(f.normal[i] for f in poly.diagram_facets) else cutoff)
+        core.append(min(reach, limits[i]))
     return core, limits
 
 
@@ -216,7 +218,7 @@ def _int_facets(poly: NewtonPolyhedron, m: int, limits: Sequence[int]) -> tuple[
 
 def _member_mask(facets: Sequence[Facet], m: int,
                  grids: Sequence[np.ndarray]) -> np.ndarray:
-    """Boolean mask of region membership on a meshgrid of lattice points."""
+    """Boolean mask of region membership on a meshgrid; the tests' oracle."""
     mask = None
     for f in facets:
         this = sum(w * g for w, g in zip(f.normal, grids) if w) <= f.offset * m
@@ -386,13 +388,7 @@ def _estimate_float(poly: NewtonPolyhedron, cfg: EstimatorConfig,
 
 def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
                     limits: list[int]) -> Fraction:
-    """Exact rational value of the truncated sum.
-
-    Denominators (m + a.X)^(n+1) are collected by their integer value
-    L*m + a.(L*X) with L the common denominator of X, so the exact sum runs
-    over distinct denominator values instead of over lattice points.
-    """
-    import numpy as np
+    """Exact rational value of the truncated sum, walked along the longest axis."""
     m, xs = cfg.m, cfg.X
     L, lx = _common_denominator(xs)
     if any(limit < 1 for limit in limits):
@@ -408,21 +404,30 @@ def _estimate_exact(poly: NewtonPolyhedron, cfg: EstimatorConfig,
             f"exact estimate needs denominator values up to {largest}, beyond "
             f"the int64 limit {_INT64_MAX}")
     facets = _int_facets(poly, m, limits)
+    k = limits.index(max(limits))
+    return Fraction(*_column_sum(_columns(facets, m, limits, k), k, m, xs))
 
-    # the box split along its longest axis into blocks of about _CHUNK points
-    s = limits.index(max(limits))
-    counts: dict[int, int] = {}
-    for first, last in _blocks(1, limits[s] + 1, points // limits[s]):
-        grids = np.meshgrid(*(np.arange(first, last, dtype=np.int64) if i == s else
-                              np.arange(1, limit + 1, dtype=np.int64)
-                              for i, limit in enumerate(limits)), indexing="ij")
-        mask = _member_mask(facets, m, grids)
-        k = L * m + sum(x * g for x, g in zip(lx, grids))
-        values, reps = np.unique(k[mask], return_counts=True)
-        for v, c in zip(values.tolist(), reps.tolist()):
-            counts[v] = counts.get(v, 0) + c
 
-    return Fraction(*_kernel_sum(counts, m, xs, L))
+def _columns(facets: Sequence[Facet], m: int, limits: Sequence[int],
+             k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each column of the box 1 <= a <= limits along axis k, as its point
+    with a_k = 0 and its facet top, the largest member a_k in [0, limits[k]]."""
+    for outer in itertools.product(*((0,) if j == k else range(1, limit + 1)
+                                     for j, limit in enumerate(limits))):
+        yield outer, _facet_top(facets, m, k, outer, 1, limits[k])
+
+
+def _column_sum(columns: Iterable[tuple[Sequence[int], int]], k: int, m: int,
+                xs: Sequence[Fraction]) -> tuple[int, int]:
+    """The kernel summed exactly over a_k = 1..top of each column (outer, top)
+    along axis k, as _kernel_sum's int pair. A column's denominators
+    L*m + lx.a step by lx_k, so each column is binned as one range."""
+    L, lx = _common_denominator(xs)
+    counts = Counter()
+    for outer, top in columns:
+        base = L * m + sum(x * a for x, a in zip(lx, outer))
+        counts.update(range(base + lx[k], base + lx[k] * top + 1, lx[k]))
+    return _kernel_sum(counts, m, xs, L)
 
 
 def _kernel_sum(counts: dict[int, int], m: int, xs: Sequence[Fraction],
@@ -448,13 +453,7 @@ def _estimate_lct(ideal: MonomialIdeal, poly: NewtonPolyhedron, cfg: EstimatorCo
         raise InternalInconsistency(
             f"membership and lct index sets differ at {report.interior_mismatches} "
             f"interior lattice points at m = {cfg.m}")
-    L, lx = _common_denominator(cfg.X)
-    counts: dict[int, int] = {}
-    for rest, top in tops:
-        base = L * cfg.m + sum(x * a for x, a in zip(lx[1:], rest))
-        for k in range(base + lx[0], base + lx[0] * top + 1, lx[0]):
-            counts[k] = counts.get(k, 0) + 1
-    return _rational(*_kernel_sum(counts, cfg.m, cfg.X, L), cfg.arithmetic != EXACT)
+    return _rational(*_column_sum(tops, 0, cfg.m, cfg.X), cfg.arithmetic != EXACT)
 
 
 def _increasing(m_list: Sequence[int]) -> list[int]:
@@ -498,20 +497,19 @@ def convergence_report(ideal: MonomialIdeal, X: Sequence, m_list: Sequence[int],
 
 def _lct_scan(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int,
               limits: Sequence[int]) -> tuple[list[tuple[tuple[int, ...], int]], ModeAgreement]:
-    """Each column of the box 1 <= a <= limits along axis 0, as its other
-    coordinates with its lct top, and the agreement counts."""
-    b1, tops, evaluations, interior, edge = limits[0], [], 0, 0, 0
-    for rest in itertools.product(*(range(1, b + 1) for b in limits[1:])):
-        # the membership top: the largest a1 in [0, b1] some facet inequality admits
-        t_mem = _facet_top(poly.diagram_facets, m, 0, (0, *rest), 1, b1)
-        lo, hi = 0, b1 + 1  # the lct top T has lo <= T < hi
+    """Each column of the box 1 <= a <= limits along axis 0, as its point
+    with a_0 = 0 and its lct top, and the agreement counts."""
+    tops, evaluations, interior, edge = [], 0, 0, 0
+    for outer, t_mem in _columns(poly.diagram_facets, m, limits, 0):
+        rest = outer[1:]
+        lo, hi = 0, limits[0] + 1  # the lct top T has lo <= T < hi
         probes = iter((t_mem, t_mem + 1))  # the facet top and the next point, then bisection
         while hi - lo > 1:
             a1 = next(probes, (lo + hi) // 2)
             if lo < a1 < hi:
                 evaluations += 1
                 lo, hi = (a1, hi) if region_condition_via_lct(ideal, (a1,) + rest, m) else (lo, a1)
-        tops.append((rest, lo))
+        tops.append((outer, lo))
         # the modes differ at a1 in (low, high]; a1 = 1 there is an edge point
         low, high = sorted((t_mem, lo))
         on_edge = high - low if 1 in rest else int(low == 0 < high)
@@ -526,15 +524,15 @@ def _lct_scan(ideal: MonomialIdeal, poly: NewtonPolyhedron, m: int,
 def mode_agreement_report(ideal: MonomialIdeal, m: int) -> ModeAgreement:
     """Compare the membership and lct index sets over the truncated box.
 
-    The box is the estimator's at ray cutoff 4*m. Each mismatched point is
-    counted once, as interior (all a_i > 1) or edge (some a_i = 1);
-    lct_evaluations counts the threshold-side tests.
+    The box is the estimator's at ray cutoff 4*m, every axis capped at 4*m.
+    Each mismatched point is counted once, as interior (all a_i > 1) or edge
+    (some a_i = 1); lct_evaluations counts the threshold-side tests.
     """
     (m,) = _integers((m,), "m")
     if m < 1:
         raise InvalidInput(f"m must be a positive integer, got {m}")
     poly = newton_polyhedron(ideal)
-    _, limits = _axis_limits(poly, m, 4 * m)
+    limits = [min(limit, 4 * m) for limit in _axis_limits(poly, m, 4 * m)[1]]
     scanned = math.prod(limits[1:])
     if scanned > MAX_LCT_POINTS:
         raise EstimateTooLarge(

@@ -40,7 +40,7 @@ CASES = {
                                       (F(1, 2), F(1, 3), F(1, 5))),
     # x2 unbounded: a core cell and a tail cell along a2
     "tail": lambda: float_estimate([(2, 0), (1, 1)], 10, (F(1, 2), F(2, 3)), cutoff=250),
-    # exact mode enumerates the 82 x 123 box along its longest axis
+    # exact mode walks the 82 x 123 box along its longest axis, in no blocks
     "exact": lambda: exact_estimate([(2, 0), (1, 1), (0, 3)], 41, (F(1, 3), F(1, 2))),
     # default cutoff 2495: a tail of 2486 terms after a staircase of 9
     "two-var": lambda: verify_two_variable_identity(2, 1.0, 0.5, 5),

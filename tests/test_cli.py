@@ -204,6 +204,30 @@ def test_exact_geometry_commands_do_not_load_numpy(capsys):
     assert proc.stdout == expected + "False\n"
 
 
+@pytest.mark.parametrize("extra", [["--arith", "exact"], ["--mode", "lct"],
+                                   ["--mode", "lct", "--arith", "exact"]])
+def test_estimates_off_the_float_path_do_not_load_numpy(extra, capsys):
+    """Exact mode and lct mode in either arithmetic sum in Python ints and
+    stay off numpy too. Each exits 0 with the output of a run in this
+    process, timing apart."""
+    argv = ["estimate", "x1^2,x1*x2,x2^3", "--m", "6", "--X", "1/3,1/2", *extra]
+    script = (
+        "import sys\n"
+        "from newton_segre.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    row, loaded = proc.stdout.splitlines()
+    assert loaded == "False"
+
+    def untimed(line):
+        return {key: value for key, value in json.loads(line).items() if key != "seconds"}
+
+    assert untimed(row) == untimed(run_cli(argv, capsys)[1])
+
+
 def test_estimate_requires_m(capsys):
     code, out, err = run_cli(["estimate", "x1*x2", "--X", "1,1"], capsys)
     assert code == 2
@@ -343,9 +367,10 @@ def test_estimate_bad_input_is_typed(args, capsys, tmp_path):
 
 def test_lct_mode_needs_no_int64_facets(capsys):
     """The lct-based oracle reads the facets as Python ints, so exponents
-    beyond int64 leave it exact: with N = 10^19 the region a1/6 + a2/(3N)
-    <= 1 holds a1 <= 5 at every a2 <= 10."""
-    code, out, err = run_cli(["estimate", "x1^2,x2^10000000000000000000", "--m", "3",
+    beyond int64 leave it exact: with N = 10^19 the region a1 <= 3 or
+    N*a1 + a2 <= 6N holds a1 <= 5 at every a2 <= 10, and the cutoff 10
+    truncates the unbounded a2 axis."""
+    code, out, err = run_cli(["estimate", "x1^2,x1*x2^10000000000000000000", "--m", "3",
                               "--cutoff", "10", "--X", "1,1", "--mode", "lct",
                               "--arith", "exact"], capsys)
     assert (code, err) == (0, "")
@@ -378,9 +403,12 @@ def test_help_still_prints_usage(capsys):
      "beyond the int64 limit"),
     # the facet values c*m + w.a leave int64 (they overflowed in numpy)
     (["x1^2,x2^1000000000000000000", "--m", "10", "--X", "1,1"], "beyond the int64 limit"),
-    (["x1^2,x2^1000000000000000000", "--m", "10", "--X", "1,1", "--arith", "exact"],
+    (["x1^2,x1*x2^1000000000000000000", "--m", "10", "--X", "1,1", "--arith", "exact"],
      "beyond the int64 limit"),
     (["x1^2,x2^10000000000000000000", "--m", "10", "--X", "1,1"], "beyond the int64 limit"),
+    # a bounded axis is never cut at the cutoff, so this box is 20 x 2*10^19
+    (["x1^2,x2^1000000000000000000", "--m", "10", "--X", "1,1", "--arith", "exact"],
+     "200000000000000000000 lattice points"),
 ])
 def test_estimate_too_large_is_refused(args, cost, capsys):
     start = time.perf_counter()

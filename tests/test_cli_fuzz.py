@@ -5,7 +5,7 @@ with exit 2, nothing on stdout and exactly one JSON line on stderr; never a
 traceback, a usage text or a non-finite number. The argument lists mix
 valid values, values out of range and garbage for all five subcommands.
 Sizes stay small: the lct-based and exact estimates always get a small
-cutoff, because their literal enumerations are slow by design.
+cutoff, because they walk every column of the box.
 """
 
 import contextlib
@@ -50,7 +50,7 @@ def _estimate(draw):
     mode = draw(st.sampled_from(["membership", "lct", None, "nope"]))
     arith = draw(st.sampled_from(["float", "exact", None, "bad"]))
     if mode == "lct" or arith == "exact":
-        # literal enumerations: small m and a cutoff that keeps the box small
+        # column walks: small m and a cutoff that keeps the box small
         argv += draw(st.sampled_from([["--m", "1"], ["--m", "3"], ["--m-list", "1,2"]]))
         argv += ["--cutoff", "3"]
     else:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -17,6 +18,7 @@ from newton_segre import (CutoffTooSmall, EstimateTooLarge, EstimatorConfig,
 from newton_segre.lattice import (LCT_BASED, MEMBERSHIP, _column_tops, _facet_top,
                                   _int_facets, _kernel_sum)
 from newton_segre.polyhedron import in_newton_region, newton_polyhedron
+from newton_segre.segre import _common_denominator
 from tests.conftest import random_ideal
 
 lattice = importlib.import_module("newton_segre.lattice")
@@ -106,7 +108,7 @@ def test_exact_mode_matches_float_bounded():
 
 def test_exact_mode_matches_float_with_tails():
     """The polygamma-based tail summation must reproduce the literal
-    truncated sum that exact mode enumerates."""
+    truncated sum that exact mode adds up."""
     ideal = make_ideal(2, [(1, 1)])
     X = (F(1), F(1))
     for m, cutoff in ((20, 400), (50, 2000)):
@@ -145,6 +147,69 @@ def test_exact_mode_four_vars(gens, m, cutoff):
                                             arithmetic="exact_rational"))
     approx = estimate(ideal, EstimatorConfig(m=m, X=X, ray_cutoff=cutoff))
     assert abs(float(exact) - approx) <= 1e-12 * abs(float(exact))
+
+
+def enumerated_sum(ideal, cfg) -> F:
+    """The truncated sum by literal enumeration: every point of the
+    estimator's box tested against every facet at once (_member_mask on an
+    int64 meshgrid), its members binned by denominator in Python ints."""
+    poly = newton_polyhedron(ideal)
+    _, limits = lattice._axis_limits(poly, cfg.m, cfg.ray_cutoff)
+    grids = np.meshgrid(*(np.arange(1, limit + 1, dtype=np.int64) for limit in limits),
+                        indexing="ij")
+    mask = lattice._member_mask(poly.diagram_facets, cfg.m, grids)
+    L, lx = _common_denominator(cfg.X)
+    counts = Counter(L * cfg.m + sum(x * int(a) for x, a in zip(lx, point))
+                     for point in np.argwhere(mask) + 1)
+    return F(*_kernel_sum(counts, cfg.m, cfg.X, L))
+
+
+@st.composite
+def _walk_cases(draw):
+    """n = 1..3; generators with entries up to 4, with a pure power on every
+    axis (bounded) or as drawn (often unbounded); cutoff m..5m; X with small
+    denominators or with denominators of about 10^6 (one shared in 3-D,
+    where three coprime ones take L*m past int64, which exact mode refuses)."""
+    n = draw(st.integers(1, 3))
+    vectors = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any).map(tuple)
+    gens = draw(st.lists(vectors, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens += [tuple(draw(st.integers(1, 4)) if j == i else 0 for j in range(n))
+                 for i in range(n)]
+    m = draw(st.integers(1, {1: 30, 2: 8, 3: 3}[n]))
+    cutoff = draw(st.integers(m, 5 * m))
+    if draw(st.booleans()):
+        X = [F(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in range(n)]
+    else:
+        large = st.integers(10 ** 6, 10 ** 6 + 999)
+        dens = [draw(large)] * n if n == 3 else [draw(large) for _ in range(n)]
+        X = [F(draw(st.integers(1, 2 * 10 ** 6)), den) for den in dens]
+    return make_ideal(n, gens), EstimatorConfig(m=m, X=tuple(X), ray_cutoff=cutoff,
+                                                arithmetic="exact_rational")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_walk_cases())
+def test_exact_walk_matches_enumeration(case):
+    """Exact mode's column walk sums exactly the points that the literal
+    enumeration admits, to the same rational."""
+    ideal, cfg = case
+    assert estimate(ideal, cfg) == enumerated_sum(ideal, cfg)
+
+
+@pytest.mark.parametrize("mode, arithmetic",
+                         itertools.product((MEMBERSHIP, LCT_BASED), ("float64", "exact_rational")))
+def test_cutoff_leaves_bounded_axes_whole(mode, arithmetic):
+    """The cutoff truncates only axes some facet ignores: x1^100 at m = 5
+    reaches a1 = 500, past the default cutoff 250, and (x1^30, x2^2) at
+    m = 2 reaches a1 = 60, past 40. Each gives the value of a cutoff beyond
+    its box, and a tail tolerance has no tail to bound."""
+    for ideal, m, X in ((make_ideal(1, [(100,)]), 5, (F(1, 2),)),
+                        (make_ideal(2, [(30, 0), (0, 2)]), 2, (F(1, 3), F(1, 2)))):
+        base = dict(m=m, X=X, condition_mode=mode, arithmetic=arithmetic)
+        value = estimate(ideal, EstimatorConfig(**base))
+        assert value == estimate(ideal, EstimatorConfig(**base, ray_cutoff=10 ** 4))
+        assert value == estimate(ideal, EstimatorConfig(**base, tail_tolerance=1e-12))
 
 
 def test_lct_mode_agrees_with_membership_small():
@@ -454,7 +519,7 @@ def _small_estimates(draw):
 @given(_small_estimates())
 def test_column_sums_match_exact_mode(case):
     """On random ideals, m-primary or not, the column sums reproduce the
-    truncated sum that exact mode enumerates."""
+    truncated sum that exact mode adds up."""
     ideal, m, cutoff, X = case
     exact = estimate(ideal, EstimatorConfig(
         m=m, X=X, ray_cutoff=cutoff, arithmetic="exact_rational"))
